@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.graph.types import NO_PARENT, UNVISITED, UPDATE_DTYPE
-from repro.utils.bits import mask_bit_counts, popcount64
+from repro.utils.bits import mask_bit_counts, mask_bytes, popcount64
 
 #: Width of one MS-BFS batch: one query per bit of a ``uint64`` mask word.
 BATCH_WIDTH = 64
@@ -427,36 +427,43 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         return updates, eliminate
 
     def gather(self, ctx, state, dst_local, payload) -> int:
+        """Claim every (destination, query) pair of one update buffer in
+        a single pass.
+
+        Only the query bits not yet visited at the destination can claim
+        anything, so records with none are dropped first.  The survivors
+        expand into (record, query) pairs in stream order; a stable unique
+        over ``dst * 64 + q`` keeps the first pair per key — the serial
+        kernel's first-update-wins tie-break, applied to every query at
+        once.
+        """
         buf = payload  # full records (see gather_payload)
-        masks = buf["mask"]
+        fresh = buf["mask"] & ~state["visited"][dst_local]
+        keep = np.flatnonzero(fresh)
+        if len(keep) == 0:
+            return 0
+        dst = dst_local[keep]
+        bits = np.unpackbits(mask_bytes(fresh[keep]), axis=1, bitorder="little")
+        rec, q = np.nonzero(bits)  # row-major: stream order, then query
+        _, first = np.unique(dst[rec] * BATCH_WIDTH + q, return_index=True)
+        rec, q = rec[first], q[first]
+        v = dst[rec]  # ascending: the unique keys sort by vertex first
         level = ctx.iteration + 1
-        activated = 0
-        present = int(np.bitwise_or.reduce(masks)) if len(masks) else 0
-        for q in range(self.num_queries):
-            bit = np.uint64(1 << q)
-            if not present & (1 << q):
-                continue
-            has = (masks & bit) != 0
-            dst = dst_local[has]
-            fresh = (state["visited"][dst] & bit) == 0
-            if not fresh.any():
-                continue
-            dst = dst[fresh]
-            parents = buf["payload"][has][fresh]
-            # First update to arrive wins, exactly like the serial kernel.
-            uniq, first_idx = np.unique(dst, return_index=True)
-            state["visited"][uniq] |= bit
-            state["frontier"][uniq] |= bit
-            state["level"][uniq, q] = level
-            state["parent"][uniq, q] = parents[first_idx]
-            state["active"][uniq] = 1
-            claimed = len(uniq)
-            activated += claimed
-            per_q = self._activated_by_pass.setdefault(
-                level, np.zeros(self.num_queries, dtype=np.int64)
-            )
-            per_q[q] += claimed
-        return activated
+        state["level"][v, q] = level
+        state["parent"][v, q] = buf["payload"][keep[rec]]
+        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        claimed = np.bitwise_or.reduceat(
+            np.left_shift(np.uint64(1), q.astype(np.uint64)), starts
+        )
+        v = v[starts]
+        state["visited"][v] |= claimed
+        state["frontier"][v] |= claimed
+        state["active"][v] = 1
+        per_q = self._activated_by_pass.setdefault(
+            level, np.zeros(self.num_queries, dtype=np.int64)
+        )
+        per_q += np.bincount(q, minlength=self.num_queries)
+        return len(q)
 
     def after_partition_scatter(self, ctx, state) -> None:
         state["frontier"][:] = 0
