@@ -159,11 +159,6 @@ class _RunState:
         self.trim_active = False
 
 
-def _is_root_sequence(entry) -> bool:
-    """Whether a ``run_many`` roots entry is a multi-source root set."""
-    return isinstance(entry, (list, tuple, np.ndarray))
-
-
 class EdgeCentricEngine:
     """X-Stream-style scatter/gather engine; subclass hooks add FastBFS."""
 
@@ -246,23 +241,16 @@ class EdgeCentricEngine:
 
         Returns a :class:`~repro.engines.result.BatchResult`.
         """
-        from repro.engines.session import run_staged_queries
+        from repro.engines.session import (
+            _validate_root_entries,
+            run_staged_queries,
+        )
 
         algo = algorithm if algorithm is not None else BFSAlgorithm()
-        if len(roots) == 0:
-            raise EngineError("run_many needs at least one root entry")
-        if mode not in ("serial", "batched"):
-            raise ConfigError(
-                f"run_many mode must be 'serial' or 'batched', got {mode!r}"
-            )
+        # Check every entry before any machine state changes.
+        _validate_root_entries("run_many", algo, graph, roots, mode)
         self._check_fresh(machine)
         sanitizer = self._ensure_sanitizer(machine)
-        # Validate every entry before any machine state changes.
-        for entry in roots:
-            algo.validate_roots(
-                graph.num_vertices,
-                entry if _is_root_sequence(entry) else [entry],
-            )
         staged = self.stage(graph, machine, algorithm=algo)
         checkpoint = machine.checkpoint()
         # The machine sits exactly at the checkpoint here, so the first

@@ -1,7 +1,6 @@
 """Staged-graph artifacts and query sessions.
 
-The monolithic ``EdgeCentricEngine.run()`` conflated two phases with very
-different lifetimes:
+A traversal has two phases with different lifetimes:
 
 * **staging** — splitting the raw edge list into per-partition edge files
   (plus the vertex-set files), one sequential read + sequential writes.
@@ -10,13 +9,19 @@ different lifetimes:
 * **querying** — one BFS/WCC/... execution: frontier state, update
   streams, the FastBFS stay/trim machinery, iteration stats.
 
-This module makes the cut explicit.  A :class:`StagedGraph` is the sealed
-artifact produced by ``engine.stage()``; a :class:`QuerySession` owns all
-per-query state and runs exactly one algorithm execution against a staged
-artifact.  ``engine.run()`` is now literally ``stage() + one session``, and
-``engine.run_many()`` stages once, then rewinds the machine between
-sessions via the ``Machine.checkpoint()/restore()`` protocol — amortizing
-staging I/O to ~1/Q of its monolithic cost over Q queries.
+A :class:`StagedGraph` is the sealed artifact produced by
+``engine.stage()``.  A :class:`QuerySession` owns all per-query state and
+runs one execution of any streaming algorithm against that artifact, with
+one lifecycle: single-use guard, sanitizer session, crash/resume entry
+checkpoint, delta report, crash capture and ``recover()``.  Its result
+demux is the identity; :class:`BatchedQuerySession` runs an MS-BFS kernel
+through the same lifecycle and demuxes the batch per query slot.
+
+``engine.run()`` is ``stage()`` plus one session.  :func:`run_staged_queries`
+(behind ``engine.run_many()`` and the serving layer) runs many sessions
+against one artifact, rewinding the machine between them via
+``Machine.checkpoint()/restore()``; :func:`_run_with_recovery` is the one
+crash/replay loop around a session.
 
 Session internals (the ``_RunState`` bundle) are private to the engine
 layer; external code must go through the session API (enforced by lint
@@ -25,6 +30,7 @@ rule FB107).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -36,7 +42,7 @@ from repro.algorithms.streaming import (
     StreamingAlgorithm,
 )
 from repro.engines.result import EngineResult, IterationStats
-from repro.errors import CrashError, EngineError
+from repro.errors import ConfigError, CrashError, EngineError
 from repro.graph.graph import Graph
 from repro.graph.partition import VertexPartitioning
 from repro.storage.device import Device
@@ -154,30 +160,56 @@ def _release_swapped_files(staged: StagedGraph, rt, protect_staged: bool) -> Non
             vfs.delete_if_exists(f.name)
 
 
-def _run_with_recovery(session, invoke, max_recoveries: int):
-    """Run ``invoke()``; on :class:`CrashError`, replay via ``session.recover()``.
+def _is_root_sequence(entry) -> bool:
+    """Whether a roots entry is a multi-source root set."""
+    return isinstance(entry, (list, tuple, np.ndarray))
 
-    The chaos harness's crash/resume loop, packaged for callers that want
-    recovery built in (the serving layer's admission flushes).  Up to
+
+def _validate_root_entries(
+    caller: str, algo: StreamingAlgorithm, graph: Graph, roots: Sequence,
+    mode: str,
+) -> List[np.ndarray]:
+    """Check a roots list and mode; validate every root entry once.
+
+    The boundary check of ``run_many`` and :func:`run_staged_queries`:
+    an empty list, an unknown mode or a bad root raises here, before any
+    machine state changes.  Returns the validated root array per entry.
+    """
+    if len(roots) == 0:
+        raise EngineError(f"{caller} needs at least one root entry")
+    if mode not in ("serial", "batched"):
+        raise ConfigError(
+            f"{caller} mode must be 'serial' or 'batched', got {mode!r}"
+        )
+    return [
+        algo.validate_roots(
+            graph.num_vertices, entry if _is_root_sequence(entry) else [entry]
+        )
+        for entry in roots
+    ]
+
+
+def _run_with_recovery(session, max_recoveries: int, **call):
+    """Run ``session.run(**call)``; on :class:`CrashError`, replay via
+    ``session.recover()``.
+
+    The one crash/replay loop, shared by :func:`run_staged_queries` (the
+    serving layer's admission flushes) and the chaos harness.  Up to
     ``max_recoveries`` replays are attempted — each rewinds the machine to
     the session's entry checkpoint and re-runs, so a surviving replay is
-    bit-identical to an uncrashed run.  ``max_recoveries=0`` keeps the
-    historical behaviour: the first crash propagates untouched.
+    bit-identical to an uncrashed run.  With ``max_recoveries=0`` the
+    first crash propagates untouched; once the budget is spent the first
+    crash is re-raised.
     """
     try:
-        return invoke()
+        return session.run(**call)
     except CrashError:
-        recoveries = 0
-        outcome = None
-        while outcome is None:
-            recoveries += 1
-            if recoveries > max_recoveries:
-                raise
+        for _ in range(max_recoveries):
             try:
-                outcome = session.recover()
+                return session.recover()
             except CrashError:
                 continue
-        return outcome
+        raise
 
 
 def run_staged_queries(
@@ -223,32 +255,20 @@ def run_staged_queries(
     slice); batched query slots additionally carry their own
     ``request_id`` on the ``query_slot`` marker.
 
-    ``max_recoveries > 0`` arms the crash/resume loop: a
-    :class:`~repro.errors.CrashError` inside any session triggers up to
-    that many ``session.recover()`` replays (each counted in
+    ``max_recoveries > 0`` arms the crash/resume loop
+    (:func:`_run_with_recovery`): a :class:`~repro.errors.CrashError`
+    inside any session triggers up to that many replays (each counted in
     ``extras["recovered"]`` and traced as a ``recover`` span) before the
     crash propagates.  Only meaningful on fault-injected machines.
     """
     from repro.algorithms.streaming import BATCH_WIDTH
-    from repro.engines.base import _is_root_sequence
     from repro.engines.result import BatchResult
-    from repro.errors import ConfigError
 
     algo = algorithm if algorithm is not None else BFSAlgorithm()
-    if len(roots) == 0:
-        raise EngineError("run_staged_queries needs at least one root entry")
-    if mode not in ("serial", "batched"):
-        raise ConfigError(
-            f"mode must be 'serial' or 'batched', got {mode!r}"
-        )
+    validated = _validate_root_entries(
+        "run_staged_queries", algo, staged.graph, roots, mode
+    )
     machine = staged.machine
-    validated = [
-        algo.validate_roots(
-            staged.graph.num_vertices,
-            entry if _is_root_sequence(entry) else [entry],
-        )
-        for entry in roots
-    ]
     extras: dict = {}
     batched = mode == "batched" and algo.batched(1) is not None
     if mode == "batched" and not batched:
@@ -277,16 +297,14 @@ def run_staged_queries(
                 engine,
                 staged,
                 algo.batched(len(chunk)),
-                serial_algorithm=algo,
                 batch_index=num_batches,
                 span_attrs=_sliced_attrs(start, len(chunk)),
             )
-            results = _run_with_recovery(
-                session, lambda: session.run(chunk), max_recoveries
-            )
+            queries.extend(_run_with_recovery(
+                session, max_recoveries, validated_roots=chunk
+            ))
             shared_iterations.extend(session.shared_iterations)
             batch_times.append(session.report.execution_time)
-            queries.extend(results)
         extras["num_batches"] = float(len(batch_times))
     else:
         for q, entry in enumerate(roots):
@@ -296,23 +314,12 @@ def run_staged_queries(
                 engine, staged, algorithm=algo,
                 span_attrs=_sliced_attrs(q, 1),
             )
-            if _is_root_sequence(entry):
-                result = _run_with_recovery(
-                    session,
-                    lambda: session.run(
-                        roots=entry, validated_roots=validated[q]
-                    ),
-                    max_recoveries,
-                )
-            else:
-                result = _run_with_recovery(
-                    session,
-                    lambda: session.run(
-                        root=int(entry), validated_roots=validated[q]
-                    ),
-                    max_recoveries,
-                )
-            queries.append(result)
+            queries.append(_run_with_recovery(
+                session,
+                max_recoveries,
+                roots=entry if _is_root_sequence(entry) else [entry],
+                validated_roots=validated[q],
+            ))
     for q, result in enumerate(queries):
         result.query_index = q
         result.extras["query_index"] = float(result.query_index)
@@ -338,17 +345,25 @@ class QuerySession:
     per query (``engine.session(staged)``), or let ``engine.run_many``
     drive the checkpoint/restore loop for you.
 
+    This class holds the whole session lifecycle (:meth:`_execute` and
+    :meth:`recover`) for any :class:`StreamingAlgorithm`; its result demux
+    is the identity.  :class:`BatchedQuerySession` reuses the lifecycle
+    with a per-slot demux.
+
     ``protect_staged=True`` (the default for reusable sessions) keeps the
     artifact intact: FastBFS stay-file swaps leave the staged edge files in
     place, and swapped-in per-query files are deleted when the session
-    finishes.  ``protect_staged=False`` reproduces the historical
-    monolithic behaviour bit-for-bit (stay files replace the staged edge
-    files in the VFS), which is what ``engine.run()`` uses.
+    finishes.  ``protect_staged=False`` lets stay files replace the staged
+    edge files in the VFS (the artifact is consumed), which is what
+    ``engine.run()`` uses.
 
     ``cumulative_report=False`` (default) reports only what this session
     cost — the machine's counters at session end minus session start.
-    ``engine.run()`` sets it to True so the monolithic report still covers
-    staging + query, exactly as before the split.
+    ``engine.run()`` sets it to True so its report covers staging + query.
+
+    On a fault-injected machine the session entry is checkpointed, and
+    after a :class:`~repro.errors.CrashError` :meth:`recover` rewinds to
+    that checkpoint and replays the same ``run()`` call.
     """
 
     def __init__(
@@ -363,21 +378,29 @@ class QuerySession:
         self.engine = engine
         self.staged = staged
         self.algorithm = algorithm if algorithm is not None else BFSAlgorithm()
-        if not staged.compatible_with(self.algorithm):
+        # A batched kernel streams the files staged for its serial
+        # algorithm's record width (it charges its own mask-word width for
+        # per-pass vertex I/O), so the plan is checked against that one.
+        planned = getattr(self.algorithm, "serial", self.algorithm)
+        if not staged.compatible_with(planned):
             raise EngineError(
                 f"staged artifact was planned for {staged.record_bytes}-byte "
-                f"vertex records; algorithm {self.algorithm.name!r} uses "
-                f"{self.algorithm.disk_record_bytes} — re-stage for this "
-                "algorithm"
+                f"vertex records; algorithm {planned.name!r} uses "
+                f"{planned.disk_record_bytes} — re-stage for this algorithm"
             )
         self.protect_staged = protect_staged
         self.cumulative_report = cumulative_report
         self.span_attrs = dict(span_attrs) if span_attrs else {}
+        #: Delta report of the executed timeline (set by :meth:`run`).
+        self.report: Optional[IOReport] = None
+        #: Per-pass counters of the executed timeline (set by :meth:`run`).
+        self.iterations: List[IterationStats] = []
         self._used = False
         # Crash/resume state: the quiescent entry checkpoint (taken only on
-        # fault-injected machines) and the (root, roots) of a crashed run.
+        # fault-injected machines) and the keyword arguments of the
+        # ``run()`` call a crash interrupted.
         self._checkpoint = None
-        self._crashed: Optional[tuple] = None
+        self._crashed: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -393,43 +416,48 @@ class QuerySession:
         exactly once before staging and hand the validated array here, so
         the session skips re-validation.  Callers driving a session
         directly may omit it — the algorithm then validates in
-        ``init_state`` as before.
+        ``init_state``.
 
         Returns an :class:`EngineResult` whose report covers this query
         only (unless ``cumulative_report``).  Raises on reuse: per-query
         state is consumed by the run.
         """
+        return self._execute(
+            root=root, roots=roots, validated_roots=validated_roots
+        )
+
+    # ------------------------------------------------------------------
+    def _execute(self, **call):
+        """The session lifecycle around one ``run(**call)``.
+
+        Single-use guard, sanitizer session, crash/resume entry checkpoint
+        and report baseline; the run state for ``call``; the scatter/gather
+        timeline and the release of swapped-in files inside one ``query``
+        span; finally the delta report and the demux of the run state into
+        this session's result.  A :class:`CrashError` records ``call`` so
+        :meth:`recover` can replay it.
+        """
         if self._used:
             raise EngineError(
-                "QuerySession is single-use: one session per query "
-                "(open another via engine.session(staged))"
+                f"{type(self).__name__} is single-use: open a new session "
+                "per run (e.g. engine.session(staged))"
             )
         self._used = True
         engine = self.engine
         staged = self.staged
         machine = staged.machine
-        algo = self.algorithm
         sanitizer = getattr(machine, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.begin_session()
         if getattr(machine, "fault_injector", None) is not None:
             # Session entry is a quiescent point (post-staging barrier or
             # post-restore), so this checkpoint is the crash/resume anchor:
-            # recover() rewinds here and replays the whole query.
+            # recover() rewinds here and replays the whole run.
             self._checkpoint = machine.checkpoint()
         baseline = None if self.cumulative_report else machine.report()
 
-        # Assemble the per-query state bundle from the staged artifact.
-        rt = _assemble_run_state(engine, staged, algo, self.protect_staged)
-        if validated_roots is not None:
-            rt.state = algo.init_state_validated(
-                staged.graph.num_vertices, validated_roots
-            )
-        else:
-            rt.state = algo.init_state(
-                staged.graph.num_vertices,
-                roots if roots is not None else [root],
-            )
+        rt = _assemble_run_state(engine, staged, self.algorithm, self.protect_staged)
+        self._init_state(rt, **call)
         if "active" not in rt.state.dtype.names:
             raise EngineError("algorithm state must contain an 'active' field")
 
@@ -438,54 +466,85 @@ class QuerySession:
             with machine.tracer.span(
                 "query",
                 engine=engine.name,
-                algorithm=algo.name,
+                algorithm=self.algorithm.name,
                 graph=staged.graph.name,
-                roots=[int(r) for r in (roots if roots is not None else [root])],
+                **self._span_fields(call, query=True),
                 **self.span_attrs,
             ) as q_span:
                 _drive_passes(engine, rt)
-                self._cleanup(rt)
+                _release_swapped_files(staged, rt, self.protect_staged)
                 q_span.set(iterations=len(rt.iterations))
+                self._mark_slots(rt, call)
             if sanitizer is not None:
                 sanitizer.finalize_session()
             report = machine.report()
             if baseline is not None:
                 report = report.minus(baseline)
-            return EngineResult(
-                engine=engine.name,
-                algorithm=algo.name,
-                graph_name=staged.graph.name,
-                output=algo.result(rt.state),
-                report=report,
-                iterations=rt.iterations,
-                extras=dict(rt.extras),
-            )
+            self.report = report
+            self.iterations = rt.iterations
+            return self._demux(rt, report)
         except CrashError:
             # Remember what was being asked so recover() can replay it.
             # The injected "crash" span was already emitted by the fault
             # injector at the failure point; the open query/iteration spans
             # were closed by their context managers as the error unwound.
-            self._crashed = (root, roots, validated_roots)
+            self._crashed = call
             raise
         finally:
             engine._rt = None
 
+    def _init_state(self, rt, root, roots, validated_roots) -> None:
+        """Initial vertex state for :meth:`run`'s arguments."""
+        algo = self.algorithm
+        num_vertices = self.staged.graph.num_vertices
+        if validated_roots is not None:
+            rt.state = algo.init_state_validated(num_vertices, validated_roots)
+        else:
+            rt.state = algo.init_state(
+                num_vertices, roots if roots is not None else [root]
+            )
+
+    def _span_fields(self, call: dict, query: bool) -> dict:
+        """What ``run(**call)`` executes, as span attributes: for the
+        ``query`` span when ``query``, else for the ``recover`` span."""
+        roots = call["roots"] if call["roots"] is not None else [call["root"]]
+        return {"roots": [int(r) for r in roots]}
+
+    def _mark_slots(self, rt, call: dict) -> None:
+        """Per-slot trace markers inside the ``query`` span (a serial
+        session runs one query and has no slots)."""
+
+    def _demux(self, rt, report: IOReport) -> EngineResult:
+        """The session's result from the final run state: the identity
+        demux, one query with the algorithm's own output."""
+        algo = self.algorithm
+        return EngineResult(
+            engine=self.engine.name,
+            algorithm=algo.name,
+            graph_name=self.staged.graph.name,
+            output=algo.result(rt.state),
+            report=report,
+            iterations=rt.iterations,
+            extras=dict(rt.extras),
+        )
+
     # ------------------------------------------------------------------
-    def recover(self) -> EngineResult:
-        """Resume after a :class:`CrashError` killed :meth:`run` mid-query.
+    def recover(self):
+        """Resume after a :class:`CrashError` killed :meth:`run`.
 
         Rewinds the machine to this session's entry checkpoint (the sealed
         :class:`StagedGraph` is untouched by queries, so staging is never
-        repeated) and replays the same query in a fresh session.  Because
-        the simulation is deterministic and the fault injector's one-shot
-        budgets are *not* rewound by restore, the replay runs past the
-        crash point and produces bit-identical output to an uncrashed run.
+        repeated) and replays the same ``run()`` call in a fresh copy of
+        this session.  Because the simulation is deterministic and the
+        fault injector's one-shot budgets are *not* rewound by restore, the
+        replay runs past the crash point and produces bit-identical output
+        to an uncrashed run.
 
-        Returns the replayed :class:`EngineResult` with
-        ``extras["recovered"]`` counting the recovery attempts.  Raises
+        Returns what ``run()`` returns, each result with
+        ``extras["recovered"]`` counting the recovery.  Raises
         :class:`EngineError` if the session did not crash.  If the replay
-        crashes again (another crash fault with remaining budget), the
-        new crash state is adopted so ``recover()`` may be called again.
+        crashes again (another crash fault with remaining budget), the new
+        crash state is adopted so ``recover()`` may be called again.
         """
         if self._crashed is None:
             raise EngineError(
@@ -500,25 +559,18 @@ class QuerySession:
         machine = self.staged.machine
         machine.restore(self._checkpoint)
         resumed_at = machine.clock.now
-        root, roots, validated_roots = self._crashed
-        self._crashed = None
-        session = QuerySession(
-            self.engine,
-            self.staged,
-            algorithm=self.algorithm,
-            protect_staged=self.protect_staged,
-            cumulative_report=self.cumulative_report,
-            span_attrs=self.span_attrs,
-        )
+        call, self._crashed = self._crashed, None
+        replay = copy.copy(self)
+        replay._used = False
         try:
-            result = session.run(
-                root=root, roots=roots, validated_roots=validated_roots
-            )
+            outcome = replay.run(**call)
         except CrashError:
             # Adopt the replay's crash state so the caller can retry from
             # the same quiescent anchor.
-            self._crashed = session._crashed
+            self._crashed = replay._crashed
             raise
+        self.report = replay.report
+        self.iterations = replay.iterations
         if machine.fault_injector is not None:
             machine.fault_injector.record_recovery()
         machine.tracer.emit(
@@ -526,35 +578,33 @@ class QuerySession:
             start=resumed_at,
             end=resumed_at,
             engine=self.engine.name,
-            roots=[int(r) for r in (roots if roots is not None else [root])],
+            **self._span_fields(call, query=False),
         )
-        result.extras["recovered"] = result.extras.get("recovered", 0.0) + 1.0
-        return result
-
-    # ------------------------------------------------------------------
-    def _cleanup(self, rt) -> None:
-        _release_swapped_files(self.staged, rt, self.protect_staged)
+        for result in outcome if isinstance(outcome, list) else [outcome]:
+            result.extras["recovered"] = result.extras.get("recovered", 0.0) + 1.0
+        return outcome
 
 
-class BatchedQuerySession:
+def _slots(validated_roots: Sequence) -> List[np.ndarray]:
+    """One root array per batch slot (multi-source slots allowed)."""
+    return [np.atleast_1d(np.asarray(r)) for r in validated_roots]
+
+
+class BatchedQuerySession(QuerySession):
     """One MS-BFS batch: ≤64 queries sharing a single scatter/gather
     timeline against a :class:`StagedGraph`.
 
     The session runs a :class:`~repro.algorithms.streaming.
-    BatchedBFSAlgorithm` through exactly the same engine passes as a
-    serial query — one `query` span, one sequence of iteration spans, one
-    delta report — and demultiplexes the batch state into per-query
-    :class:`EngineResult`\\ s whose levels/parents are bit-identical to Q
-    serial runs.  Per-query iteration stats are synthesized from the
-    kernel's per-pass bookkeeping (updates/activated per query per pass);
-    shared-scan counters (edges scanned, partitions processed) belong to
-    the batch timeline and are exposed as :attr:`shared_iterations`, with
-    each demuxed query reporting zero edge scans of its own.
-
-    Sessions are single-use, like :class:`QuerySession`, and support the
-    same crash/recover protocol: on a fault-injected machine the entry
-    checkpoint anchors :meth:`recover`, which replays the whole batch and
-    returns bit-identical per-query results.
+    BatchedBFSAlgorithm` through the :class:`QuerySession` lifecycle —
+    one `query` span, one sequence of iteration spans, one delta report,
+    the same crash/recover protocol — and demultiplexes the batch state
+    into per-query :class:`EngineResult`\\ s whose levels/parents are
+    bit-identical to Q serial runs.  Per-query iteration stats are
+    synthesized from the kernel's per-pass bookkeeping (updates/activated
+    per query per pass); shared-scan counters (edges scanned, partitions
+    processed) belong to the batch timeline and are exposed as
+    :attr:`shared_iterations`, with each demuxed query reporting zero edge
+    scans of its own.
     """
 
     def __init__(
@@ -562,39 +612,25 @@ class BatchedQuerySession:
         engine: "EdgeCentricEngine",
         staged: StagedGraph,
         algorithm: BatchedBFSAlgorithm,
-        serial_algorithm: Optional[StreamingAlgorithm] = None,
         batch_index: int = 0,
         protect_staged: bool = True,
         cumulative_report: bool = False,
         span_attrs: Optional[dict] = None,
     ) -> None:
-        self.engine = engine
-        self.staged = staged
-        self.algorithm = algorithm
-        self.serial = (
-            serial_algorithm if serial_algorithm is not None else algorithm.serial
+        super().__init__(
+            engine,
+            staged,
+            algorithm,
+            protect_staged=protect_staged,
+            cumulative_report=cumulative_report,
+            span_attrs=span_attrs,
         )
-        # The artifact's partition plan was made for the *serial* record
-        # width; the batched kernel streams the same staged files and
-        # charges its own (mask-word) width for per-pass vertex I/O.
-        if not staged.compatible_with(self.serial):
-            raise EngineError(
-                f"staged artifact was planned for {staged.record_bytes}-byte "
-                f"vertex records; algorithm {self.serial.name!r} uses "
-                f"{self.serial.disk_record_bytes} — re-stage for this "
-                "algorithm"
-            )
         self.batch_index = batch_index
-        self.protect_staged = protect_staged
-        self.cumulative_report = cumulative_report
-        self.span_attrs = dict(span_attrs) if span_attrs else {}
-        #: Per-pass counters of the shared timeline (set by :meth:`run`).
-        self.shared_iterations: List[IterationStats] = []
-        #: Delta report of the shared timeline (set by :meth:`run`).
-        self.report: Optional[IOReport] = None
-        self._used = False
-        self._checkpoint = None
-        self._crashed: Optional[tuple] = None
+
+    @property
+    def shared_iterations(self) -> List[IterationStats]:
+        """Per-pass counters of the shared timeline (set by :meth:`run`)."""
+        return self.iterations
 
     # ------------------------------------------------------------------
     def run(self, validated_roots: Sequence) -> List[EngineResult]:
@@ -605,87 +641,55 @@ class BatchedQuerySession:
         array of one slot (multi-source slots are allowed).  Returns one
         demultiplexed :class:`EngineResult` per slot, in order.
         """
-        if self._used:
-            raise EngineError(
-                "BatchedQuerySession is single-use: one session per batch"
-            )
-        self._used = True
-        engine = self.engine
-        staged = self.staged
-        machine = staged.machine
-        algo = self.algorithm
-        slots = [np.atleast_1d(np.asarray(r)) for r in validated_roots]
-        sanitizer = getattr(machine, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.begin_session()
-        if getattr(machine, "fault_injector", None) is not None:
-            # Same crash/resume anchor as the serial session: entry is a
-            # quiescent point, recover() rewinds here and replays the batch.
-            self._checkpoint = machine.checkpoint()
-        baseline = None if self.cumulative_report else machine.report()
+        return self._execute(validated_roots=validated_roots)
 
-        rt = _assemble_run_state(engine, staged, algo, self.protect_staged)
-        rt.extras["batch_size"] = float(algo.num_queries)
-        rt.state = algo.init_state_validated(staged.graph.num_vertices, slots)
+    def _init_state(self, rt, validated_roots) -> None:
+        rt.extras["batch_size"] = float(self.algorithm.num_queries)
+        rt.state = self.algorithm.init_state_validated(
+            self.staged.graph.num_vertices, _slots(validated_roots)
+        )
 
-        engine._rt = rt
-        try:
-            with machine.tracer.span(
-                "query",
-                engine=engine.name,
-                algorithm=algo.name,
-                graph=staged.graph.name,
-                roots=[int(r) for slot in slots for r in slot],
+    def _span_fields(self, call: dict, query: bool) -> dict:
+        fields = {
+            "roots": [int(r) for slot in _slots(call["validated_roots"])
+                      for r in slot],
+            "batch": self.batch_index,
+        }
+        if query:
+            fields["batch_size"] = self.algorithm.num_queries
+        return fields
+
+    def _mark_slots(self, rt, call: dict) -> None:
+        # Zero-width per-slot markers inside the batch's query span;
+        # purely observational (never touches the clock).
+        tracer = self.staged.machine.tracer
+        parent = tracer.current_id
+        now = self.staged.machine.clock.now
+        slot_ids = self.span_attrs.get("request_ids")
+        for q, slot in enumerate(_slots(call["validated_roots"])):
+            slot_attrs = {}
+            if isinstance(slot_ids, (list, tuple)) and q < len(slot_ids):
+                slot_attrs["request_id"] = slot_ids[q]
+            tracer.emit(
+                "query_slot",
+                start=now,
+                end=now,
+                parent_id=parent,
                 batch=self.batch_index,
-                batch_size=algo.num_queries,
-                **self.span_attrs,
-            ) as q_span:
-                _drive_passes(engine, rt)
-                self._cleanup(rt)
-                q_span.set(iterations=len(rt.iterations))
-                # Zero-width per-slot markers inside the batch's query
-                # span; purely observational (never touches the clock).
-                parent = machine.tracer.current_id
-                now = machine.clock.now
-                slot_ids = self.span_attrs.get("request_ids")
-                for q, slot in enumerate(slots):
-                    slot_attrs = {}
-                    if (
-                        isinstance(slot_ids, (list, tuple))
-                        and q < len(slot_ids)
-                    ):
-                        slot_attrs["request_id"] = slot_ids[q]
-                    machine.tracer.emit(
-                        "query_slot",
-                        start=now,
-                        end=now,
-                        parent_id=parent,
-                        batch=self.batch_index,
-                        query_slot=q,
-                        roots=[int(r) for r in slot],
-                        iterations=algo.query_iterations(
-                            q, len(rt.iterations)
-                        ),
-                        **slot_attrs,
-                    )
-            if sanitizer is not None:
-                sanitizer.finalize_session()
-            report = machine.report()
-            if baseline is not None:
-                report = report.minus(baseline)
-            self.report = report
-            self.shared_iterations = rt.iterations
-            return [
-                self._demux_query(rt, report, q)
-                for q in range(algo.num_queries)
-            ]
-        except CrashError:
-            self._crashed = (validated_roots,)
-            raise
-        finally:
-            engine._rt = None
+                query_slot=q,
+                roots=[int(r) for r in slot],
+                iterations=self.algorithm.query_iterations(
+                    q, len(rt.iterations)
+                ),
+                **slot_attrs,
+            )
 
-    # ------------------------------------------------------------------
+    def _demux(self, rt, report: IOReport) -> List[EngineResult]:
+        return [
+            self._demux_query(rt, report, q)
+            for q in range(self.algorithm.num_queries)
+        ]
+
     def _demux_query(self, rt, report: IOReport, q: int) -> EngineResult:
         """Per-query result: slot ``q``'s output columns plus iteration
         stats synthesized from the kernel's per-pass bookkeeping.
@@ -713,76 +717,10 @@ class BatchedQuerySession:
         extras["query_slot"] = float(q)
         return EngineResult(
             engine=self.engine.name,
-            algorithm=self.serial.name,
+            algorithm=algo.serial.name,
             graph_name=self.staged.graph.name,
             output=algo.query_output(rt.state, q),
             report=report,
             iterations=iterations,
             extras=extras,
         )
-
-    # ------------------------------------------------------------------
-    def recover(self) -> List[EngineResult]:
-        """Resume after a :class:`CrashError` killed :meth:`run` mid-batch.
-
-        Rewinds the machine to the entry checkpoint and replays the whole
-        batch in a fresh session (the kernel's per-pass bookkeeping is
-        reset by state re-initialization).  Deterministic replay plus the
-        fault injector's unrewound one-shot budgets mean the replay runs
-        past the crash point and every demultiplexed query is bit-identical
-        to an uncrashed batch; each result carries ``extras["recovered"]``.
-        """
-        if self._crashed is None:
-            raise EngineError(
-                "nothing to recover: the session did not crash "
-                "(recover() is only valid after run() raised CrashError)"
-            )
-        if self._checkpoint is None:
-            raise EngineError(
-                "cannot recover: no entry checkpoint was taken "
-                "(the machine has no fault injector)"
-            )
-        machine = self.staged.machine
-        machine.restore(self._checkpoint)
-        resumed_at = machine.clock.now
-        (validated_roots,) = self._crashed
-        self._crashed = None
-        session = BatchedQuerySession(
-            self.engine,
-            self.staged,
-            self.algorithm,
-            serial_algorithm=self.serial,
-            batch_index=self.batch_index,
-            protect_staged=self.protect_staged,
-            cumulative_report=self.cumulative_report,
-            span_attrs=self.span_attrs,
-        )
-        try:
-            results = session.run(validated_roots)
-        except CrashError:
-            # Adopt the replay's crash state so the caller can retry from
-            # the same quiescent anchor.
-            self._crashed = session._crashed
-            raise
-        self.report = session.report
-        self.shared_iterations = session.shared_iterations
-        if machine.fault_injector is not None:
-            machine.fault_injector.record_recovery()
-        machine.tracer.emit(
-            "recover",
-            start=resumed_at,
-            end=resumed_at,
-            engine=self.engine.name,
-            roots=[int(r) for slot in validated_roots
-                   for r in np.atleast_1d(np.asarray(slot))],
-            batch=self.batch_index,
-        )
-        for result in results:
-            result.extras["recovered"] = (
-                result.extras.get("recovered", 0.0) + 1.0
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    def _cleanup(self, rt) -> None:
-        _release_swapped_files(self.staged, rt, self.protect_staged)

@@ -79,6 +79,10 @@ QUEUE_WAIT_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
 QUERY_ALGORITHMS = ("bfs", "sssp", "pagerank")
 
+#: Largest request body the HTTP front door reads (1 MiB); a larger
+#: ``Content-Length`` is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 #: Client-supplied ``X-Request-Id`` values must match this (safe charset,
 #: length-capped); anything else falls back to a generated id.
 REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -826,7 +830,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        # A framing error leaves the unread body on the socket, so the
+        # connection cannot carry another request: close it.
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        digits = declared.isascii() and declared.isdigit()
+        length = int(declared) if digits else -1
+        if length < 0:
+            raise _RequestProblem(
+                400, "bad_request",
+                "Content-Length must be a non-negative integer",
+                headers={"Connection": "close"},
+            )
+        if length > MAX_BODY_BYTES:
+            raise _RequestProblem(
+                413, "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                headers={"Connection": "close"},
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -11,7 +11,9 @@ import pytest
 from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
 
 from repro.algorithms.reference import bfs_levels
+from repro.algorithms.streaming import BFSAlgorithm
 from repro.core.engine import FastBFSEngine
+from repro.engines.session import BatchedQuerySession
 from repro.errors import (
     ConfigError,
     CrashError,
@@ -359,26 +361,66 @@ class TestTornWriteIntegrity:
         assert len(failures) == result.extras["stay_write_failures"]
 
 
+def _vertex_crashes(*after):
+    """One-shot crash points on the ``vertices`` role, which only query
+    passes touch, so every crash lands mid-session."""
+    return FaultPlan(
+        specs=tuple(
+            FaultSpec(kind="crash", role="vertices", after_index=i, max_fires=1)
+            for i in after
+        ),
+        seed=1,
+    )
+
+
 class TestCrashRecovery:
+    """The one session lifecycle's crash/recover path, for a serial
+    session and for an MS-BFS batch (which returns one result per slot)."""
+
+    @pytest.fixture(params=["serial", "batched"])
+    def kind(self, request):
+        return request.param
+
     def _machine(self, plan=None):
         return Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
                        fault_plan=plan)
 
-    def test_crash_and_recover_bit_identical(self, rmat10):
-        root = hub_root(rmat10)
-        baseline = FastBFSEngine(small_fastbfs_config()).run(
-            rmat10, self._machine(), root=root
-        )
-        machine = self._machine(FaultPlan.crash_point(after_index=80))
-        machine.attach_tracer(Tracer())
+    def _session(self, kind, graph, machine):
+        """A fresh session of ``kind`` on ``machine`` and its run() kwargs."""
         engine = FastBFSEngine(small_fastbfs_config())
-        staged = engine.stage(rmat10, machine)
-        session = engine.session(staged)
+        staged = engine.stage(graph, machine)
+        if kind == "serial":
+            return engine.session(staged), {"root": hub_root(graph)}
+        roots = np.argsort(-graph.out_degrees(), kind="stable")[:4]
+        algo = BFSAlgorithm()
+        validated = [algo.validate_roots(graph.num_vertices, [r]) for r in roots]
+        session = BatchedQuerySession(engine, staged, algo.batched(len(roots)))
+        return session, {"validated_roots": validated}
+
+    @staticmethod
+    def _results(outcome):
+        return outcome if isinstance(outcome, list) else [outcome]
+
+    def _fault_free(self, kind, graph):
+        session, call = self._session(kind, graph, self._machine())
+        return self._results(session.run(**call))
+
+    def _assert_same_output(self, results, baseline):
+        assert len(results) == len(baseline)
+        for got, want in zip(results, baseline):
+            assert np.array_equal(got.levels, want.levels)
+            assert np.array_equal(got.parents, want.parents)
+
+    def test_crash_and_recover_bit_identical(self, kind, rmat10):
+        baseline = self._fault_free(kind, rmat10)
+        machine = self._machine(_vertex_crashes(5))
+        machine.attach_tracer(Tracer())
+        session, call = self._session(kind, rmat10, machine)
         with pytest.raises(CrashError):
-            session.run(root=root)
-        result = session.recover()
-        assert np.array_equal(result.levels, baseline.levels)
-        assert result.extras["recovered"] == 1.0
+            session.run(**call)
+        results = self._results(session.recover())
+        self._assert_same_output(results, baseline)
+        assert all(r.extras["recovered"] == 1.0 for r in results)
         injector = machine.fault_injector
         assert injector.total("fault_crash") == 1
         assert injector.total("crash_recoveries") == 1
@@ -386,23 +428,46 @@ class TestCrashRecovery:
         assert names.count("crash") == 1
         assert names.count("recover") == 1
 
-    def test_recover_without_crash_is_an_error(self, rmat10):
-        machine = self._machine(FaultPlan(seed=0))
-        engine = FastBFSEngine(small_fastbfs_config())
-        staged = engine.stage(rmat10, machine)
-        session = engine.session(staged)
-        with pytest.raises(EngineError):
+    def test_replay_crash_recovered_by_second_recover(self, kind, rmat10):
+        baseline = self._fault_free(kind, rmat10)
+        machine = self._machine(_vertex_crashes(5, 15))
+        machine.attach_tracer(Tracer())
+        session, call = self._session(kind, rmat10, machine)
+        with pytest.raises(CrashError):
+            session.run(**call)
+        with pytest.raises(CrashError):
+            session.recover()
+        results = self._results(session.recover())
+        self._assert_same_output(results, baseline)
+        assert all(r.extras["recovered"] == 1.0 for r in results)
+        injector = machine.fault_injector
+        assert injector.total("fault_crash") == 2
+        assert injector.total("crash_recoveries") == 1
+        names = [s.name for s in machine.tracer.spans]
+        assert names.count("crash") == 2
+        assert names.count("recover") == 1
+
+    def test_recover_without_crash_is_an_error(self, kind, rmat10):
+        session, call = self._session(kind, rmat10, self._machine(FaultPlan(seed=0)))
+        with pytest.raises(EngineError, match="nothing to recover"):
+            session.recover()
+        session.run(**call)
+        with pytest.raises(EngineError, match="nothing to recover"):
             session.recover()
 
-    def test_recover_needs_a_fault_injector(self, rmat10):
+    def test_recover_needs_a_fault_injector(self, kind, rmat10, monkeypatch):
         """Without a fault plan no entry checkpoint is taken, so recover()
         refuses instead of restoring garbage."""
-        machine = self._machine()
-        engine = FastBFSEngine(small_fastbfs_config())
-        staged = engine.stage(rmat10, machine)
-        session = engine.session(staged)
-        session._crashed = (0, None)  # simulate an externally-raised crash
-        with pytest.raises(EngineError):
+        from repro.engines import session as sessions
+
+        def crash(engine, rt):
+            raise CrashError("externally raised crash")
+
+        session, call = self._session(kind, rmat10, self._machine())
+        monkeypatch.setattr(sessions, "_drive_passes", crash)
+        with pytest.raises(CrashError):
+            session.run(**call)
+        with pytest.raises(EngineError, match="no entry checkpoint"):
             session.recover()
 
     def test_crash_during_monolithic_run_propagates(self, rmat10):
@@ -486,6 +551,31 @@ class TestChaosHarness:
                  t.recoveries) for t in a.trials] == [
             (t.outcome, t.detail, t.faults_injected, t.retries, t.recoveries)
             for t in b.trials
+        ]
+
+    def test_smoke_sweep_pinned(self):
+        """Each seed-0 smoke trial's outcome and fault/retry/recovery
+        counts are pinned, so a change in recovery semantics shows here,
+        not only nondeterminism."""
+        from repro.tooling.chaos import run_chaos
+
+        report = run_chaos("smoke", seed=0)
+        assert [
+            (t.outcome, t.faults_injected, t.retries, t.recoveries)
+            for t in report.trials
+        ] == [
+            ("recovered", 10, 4, 1),
+            ("recovered", 14, 4, 1),
+            ("ok", 7, 1, 0),
+            ("ok", 6, 2, 0),
+            ("ok", 15, 10, 0),
+            ("typed-error", 4, 1, 0),
+            ("recovered", 6, 1, 1),
+            ("recovered", 15, 5, 1),
+            ("recovered", 9, 0, 1),
+            ("ok", 8, 4, 0),
+            ("recovered", 13, 8, 1),
+            ("recovered", 21, 1, 1),
         ]
 
     def test_unknown_profile_rejected(self):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import threading
 
 import pytest
@@ -28,6 +29,7 @@ from repro.serve import (
     GraphService,
     parse_graph_spec,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.storage.machine import IOReport, merge_reports
 
 TINY_SPEC = "tiny@rmat:scale=8,edge_factor=8,seed=7"
@@ -241,6 +243,60 @@ class TestErrorBodies:
         )
         assert status == 400
         assert body["error"]["type"] == "bad_request"
+
+
+def raw_post(service, path, content_length, timeout=10):
+    """POST with a hand-written ``Content-Length`` and no body, reading
+    until the server closes the connection.
+
+    Returns (status, headers dict, decoded JSON body).  A server that
+    keeps the connection open, or waits for a body that never comes,
+    fails the read with ``socket.timeout``.
+    """
+    with socket.create_connection(
+        ("127.0.0.1", service.port), timeout=timeout
+    ) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode("latin-1")
+        )
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+class TestBodyFraming:
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", "\u00b2"])
+    def test_bad_content_length(self, service, length):
+        status, headers, body = raw_post(service, "/graphs/tiny/bfs", length)
+        assert status == 400
+        assert body["error"]["type"] == "bad_request"
+        assert "Content-Length" in body["error"]["message"]
+        assert headers["Connection"] == "close"
+
+    def test_oversized_body_refused_unread(self, service):
+        status, headers, body = raw_post(
+            service, "/graphs/tiny/bfs", MAX_BODY_BYTES + 1
+        )
+        assert status == 413
+        assert body["error"]["type"] == "payload_too_large"
+        assert headers["Connection"] == "close"
+
+    def test_service_healthy_after_framing_errors(self, service):
+        for length in ("-1", str(MAX_BODY_BYTES + 1)):
+            raw_post(service, "/graphs/tiny/bfs", length)
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs", payload={"root": 0}
+        )
+        assert status == 200
+        assert body["root"] == 0
 
 
 class TestShutdownDrain:
