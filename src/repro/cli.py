@@ -23,9 +23,8 @@ Subcommands:
 * ``chaos`` — sweep seeded fault-injection schedules across engines and
   disk placements; every surviving run must produce bit-identical BFS
   levels (nonzero exit on any violation);
-* ``lint`` — per-file repo lint pass (rules FB1xx; text/JSON/SARIF);
-* ``analyze`` — whole-program effect & determinism analyzer (rules
-  FB2xx; shares findings, baselines and exit codes with ``lint``);
+* ``analyze`` — the repo static checker (per-module rules FB102-FB109,
+  whole-program effect rules FB200-FB208; text/JSON/SARIF);
 * ``datasets`` — list the Table II registry.
 """
 
@@ -175,16 +174,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the Table II dataset registry")
 
-    lint_p = sub.add_parser(
-        "lint",
-        help="repo-specific per-file lint pass (rules FB1xx)",
-    )
-    _add_report_args(lint_p)
     an = sub.add_parser(
         "analyze",
-        help="whole-program effect analyzer (rules FB2xx)",
+        help="repo static checker (rules FB102-FB109, FB200-FB208)",
     )
-    _add_report_args(an)
+    from repro.tooling.report import OUTPUT_FORMATS
+
+    an.add_argument("paths", nargs="*", default=["src/repro"],
+                    help="files or directories to check (default: src/repro)")
+    an.add_argument("--format", choices=OUTPUT_FORMATS, default="text",
+                    dest="fmt", help="report format (default: text)")
+    an.add_argument("--output", default=None, metavar="FILE",
+                    help="write the report to this file instead of stdout")
+    an.add_argument("--list-rules", action="store_true",
+                    help="print the rule catalogue")
     an.add_argument(
         "--baseline", default=None, metavar="FILE",
         help="baseline file of intentionally-accepted findings "
@@ -293,20 +296,6 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--disks", type=int, default=1)
     p.add_argument("--disk-kind", choices=["hdd", "ssd"], default="hdd")
     p.add_argument("--threads", type=int, default=4)
-
-
-def _add_report_args(p: argparse.ArgumentParser) -> None:
-    """Arguments shared by the ``lint`` and ``analyze`` report CLIs."""
-    from repro.tooling.report import OUTPUT_FORMATS
-
-    p.add_argument("paths", nargs="*", default=["src/repro"],
-                   help="files or directories to check (default: src/repro)")
-    p.add_argument("--format", choices=OUTPUT_FORMATS, default="text",
-                   dest="fmt", help="report format (default: text)")
-    p.add_argument("--output", default=None, metavar="FILE",
-                   help="write the report to this file instead of stdout")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue")
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -678,18 +667,6 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.tooling import lint
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv += ["--format", args.fmt]
-    if args.output is not None:
-        argv += ["--output", args.output]
-    return lint.main(argv)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.tooling.analyzer import main as analyzer_main
 
@@ -855,7 +832,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": cmd_bench,
         "chaos": cmd_chaos,
         "datasets": cmd_datasets,
-        "lint": cmd_lint,
         "analyze": cmd_analyze,
         "gantt": cmd_gantt,
         "shapes": cmd_shapes,

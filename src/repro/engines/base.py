@@ -127,8 +127,8 @@ class _RunState:
 
     This is session-internal state: outside the ``engines``/``core``
     subsystems nothing may construct one or poke at an engine's ``_rt``
-    (lint rule FB107) — go through ``engine.run()`` / ``engine.run_many()``
-    or a :class:`~repro.engines.session.QuerySession`.
+    (static-checker rule FB107) — go through ``engine.run()`` /
+    ``engine.run_many()`` or a :class:`~repro.engines.session.QuerySession`.
     """
 
     def __init__(self) -> None:

@@ -24,8 +24,8 @@ against one artifact, rewinding the machine between them via
 crash/replay loop around a session.
 
 Session internals (the ``_RunState`` bundle) are private to the engine
-layer; external code must go through the session API (enforced by lint
-rule FB107).
+layer; external code must go through the session API (enforced by
+static-checker rule FB107).
 """
 
 from __future__ import annotations

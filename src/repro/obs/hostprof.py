@@ -2,8 +2,8 @@
 
 Everything else in this repository observes *simulated* time — the
 :class:`~repro.sim.clock.SimClock` the cost model advances — and the
-tooling enforces it: lint rule FB108 bans ``time`` from the engine layer
-outright, and analyzer rule FB207 restricts direct wall-clock reads
+static checker enforces it: rule FB108 bans ``time`` from the engine
+layer outright, and rule FB207 restricts direct wall-clock reads
 (``time.monotonic`` and friends, the WALLCLOCK pattern sites) to this
 one module.  Host time is still a real quantity we need: the vectorized
 data path on the roadmap is gated on *host seconds per simulated

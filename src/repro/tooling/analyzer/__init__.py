@@ -1,4 +1,5 @@
-"""Whole-program effect & determinism analyzer (rules FB201-FB207).
+"""The repo's static checker: per-module rules FB102-FB109 and
+whole-program effect & determinism rules FB200-FB208.
 
 Three layers over stdlib ``ast`` — no analyzed code is executed:
 
@@ -9,13 +10,14 @@ Three layers over stdlib ``ast`` — no analyzed code is executed:
 3. **Effects** (:mod:`.effects`) — seed facts (``SimClock.charge_compute``
    is ``CLOCK_ADVANCE``, ``Device.submit`` is ``DEVICE_IO``, ...)
    propagated transitively, then judged by the effect contracts in
-   :mod:`.rules`.
+   :mod:`.rules`, next to the per-module syntax rules that walk the same
+   parsed trees.
 
 Run it standalone::
 
     PYTHONPATH=src python -m repro.tooling.analyzer src/repro
 
-or as ``repro analyze``.  Findings support ``# noqa: FB2xx`` line
+or as ``repro analyze``.  Findings support ``# noqa: FB207`` line
 suppressions and a committed baseline file (``analyzer_baseline.json``)
 for grandfathered, justified cases; output formats are text, JSON and
 SARIF (what CI uploads for annotations).  See ``docs/static_analysis.md``.

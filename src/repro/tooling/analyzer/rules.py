@@ -1,68 +1,26 @@
-"""FB2xx rule checks: effect contracts over the whole program.
+"""The static checker's rules; :data:`RULES` lists them one line each.
 
-Where the FB1xx lint rules match syntax one file at a time, these rules
-consume the symbol table / call graph / effect tables and judge *reach*:
+Two kinds of rule, over the same parsed module trees:
 
-FB201  obs-timing-neutrality
-    Observability code (``repro/obs/``, except the benchmark driver
-    ``obs/bench.py``) must not reach ``CLOCK_ADVANCE`` or ``DEVICE_IO``.
-    Tracing is timing-neutral by construction, not just by test: a span
-    emitter that can advance the clock or touch a device would perturb
-    the very timeline it observes.
-FB202  frontend-vfs-mutation
-    Analysis/front-end layers (``analysis/``, ``cli.py``, ``api.py``)
-    must not reach ``VFS_MUTATE`` except through the engine entry
-    points (``Engine.run/stage/run_many/session``, the machine
-    checkpoint protocol).  Every byte moves through one accounted choke
-    point — the property the whole cost model rests on.
-FB203  fault-eval-choke-point
-    ``FaultInjector.on_submit`` (effect ``FAULT_EVAL``) may be invoked
-    only from ``Device.submit``.  Faults evaluated anywhere else would
-    desynchronize the per-device request ordinals that make fault
-    schedules replayable.
-FB204  unseeded-rng
-    No direct ``numpy.random``/``random`` primitive outside
-    ``repro/utils/rng.py``.  Randomness must be traceable to a seeded
-    ``rng_from_seed``/``spawn_rngs`` source or reruns stop being
-    bit-identical.
-FB205  order-sensitive-iteration
-    No iteration over ``set``/``frozenset`` values and no unsorted
-    ``os.listdir``/``glob``/``Path.iterdir`` results: both orders are
-    runtime-dependent, and once they flow into emitted output or
-    on-disk bytes, byte-determinism is gone.  Wrap the iterable in
-    ``sorted(...)``.  (``dict`` iteration is insertion-ordered and
-    exempt — unless the keys came from a set, which this rule catches
-    at the set.)
-FB206  snapshot-completeness
-    Every class participating in the checkpoint protocol (defines
-    ``snapshot``/``checkpoint`` + ``restore``) must cover each mutable
-    instance attribute: an attribute assigned outside ``__init__`` that
-    the snapshot/restore pair never references is state that silently
-    escapes the rewind protocol.
-FB208  serve-typed-errors
-    Every ``except`` handler in the serving subsystem (``repro/serve/``)
-    must surface a *typed* failure: re-raise, construct a
-    ``...Error`` (the :class:`~repro.errors.ServeError` family), or call
-    one of the sanctioned error funnels (``_problem_for`` /
-    ``_send_problem`` / ``count_disconnect``).  A bare ``except: pass``
-    (or log-and-return) in the serving path silently drops a client's
-    request — the resilience contract is that every failure a client
-    sees is a typed, machine-readable error.
-FB207  wallclock-choke-point
-    No direct wall-clock read (``time.time``/``perf_counter``/
-    ``monotonic``/..., ``datetime.now``) outside ``repro/obs/hostprof.py``
-    — the one sanctioned host-clock module.  Everything else takes a
-    :class:`~repro.obs.hostprof.HostClock` handle, so host time stays
-    injectable (tests pass a ``ManualHostClock``) and grep-ably absent
-    from the simulation.  The per-file lint (FB101/FB108) bans wall
-    clocks in the sim/engine layers; this rule closes the rest of the
-    tree.
+* **Per-module syntax rules** (FB102-FB109, FB208) — one
+  :class:`_ModuleVisitor` walk per module.  Scope comes from the
+  module's subsystem (the package directory below ``repro/``) and its
+  file name; ``test_*`` files are exempt from FB102-FB109.
+* **Whole-program rules** (FB200-FB207) — consume the symbol table,
+  call graph and effect tables: reach (FB201/FB202, reported with a
+  witness call chain), choke points (FB203/FB204/FB207), determinism
+  and snapshot coverage (FB205/FB206).
+
+``docs/static_analysis.md`` is the catalogue: each rule's contract, its
+scope, and the map from the retired per-file lint codes (FB100 -> FB200,
+FB101 -> FB207).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from pathlib import PurePosixPath
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.tooling.analyzer.callgraph import CallGraph
@@ -76,10 +34,23 @@ from repro.tooling.analyzer.effects import (
     WALLCLOCK,
     witness_path,
 )
-from repro.tooling.analyzer.symbols import SymbolTable, subsystem_of
+from repro.tooling.analyzer.symbols import (
+    ModuleInfo,
+    SymbolTable,
+    simple_name,
+    subsystem_of,
+)
 from repro.tooling.report import Finding
 
 RULES: Dict[str, str] = {
+    "FB102": "bare assert in library code (stripped under python -O)",
+    "FB103": "_pre_partition_scatter without _post_partition_scatter",
+    "FB104": "direct VirtualFile construction outside storage/vfs.py",
+    "FB105": "mutation of SimClock internals outside sim/clock.py",
+    "FB106": "Timeline.schedule call outside Device.submit",
+    "FB107": "_RunState construction or ._rt mutation outside engines/core",
+    "FB108": "time-module import or print() call inside engines/core",
+    "FB109": "bare/broad except inside engines/core (catch ReproError subclasses)",
     "FB200": "file failed to parse (syntax error)",
     "FB201": "observability code reaches CLOCK_ADVANCE/DEVICE_IO",
     "FB202": "front-end layer reaches VFS_MUTATE outside engine entry points",
@@ -161,7 +132,7 @@ def run_all_rules(project: Project) -> List[Finding]:
     findings.extend(check_order_sensitivity(project))
     findings.extend(check_snapshot_completeness(project))
     findings.extend(check_wallclock_choke_point(project))
-    findings.extend(check_serve_typed_errors(project))
+    findings.extend(check_module_rules(project))
     return findings
 
 
@@ -640,8 +611,14 @@ def check_wallclock_choke_point(project: Project) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# FB208
+# FB102-FB109, FB208: per-module syntax rules
 # ----------------------------------------------------------------------
+
+#: Subsystems that own per-query run state and run on the simulated clock.
+_ENGINE_SUBSYSTEMS = frozenset({"engines", "core"})
+_CLOCK_PRIVATE_ATTRS = frozenset({"_now", "_compute_time", "_iowait_time"})
+#: Exception names FB109 treats as over-broad in engines/core.
+_BROAD_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
 
 #: Calls that funnel a caught exception into the typed-error response
 #: path of :mod:`repro.serve.app` (and so satisfy FB208 on their own).
@@ -650,30 +627,48 @@ _SERVE_ERROR_FUNNELS = frozenset(
 )
 
 
-def check_serve_typed_errors(project: Project) -> List[Finding]:
-    """Every serve-layer ``except`` must raise/build a typed error.
-
-    The handler body must contain at least one of: a ``raise`` (typed
-    construction or bare re-raise), a call to a ``...Error`` class (the
-    typed error is being built for a later raise/ticket assignment), or
-    a call to one of :data:`_SERVE_ERROR_FUNNELS`.
-    """
+def check_module_rules(project: Project) -> List[Finding]:
     findings = []
     for module_name in sorted(project.table.modules):
-        if subsystem_of(module_name) != "serve":
-            continue
-        module = project.table.modules[module_name]
-        visitor = _ServeExceptVisitor(module.path)
-        visitor.visit(module.tree)
+        visitor = _ModuleVisitor(project.table.modules[module_name])
+        visitor.visit(visitor.module.tree)
         findings.extend(visitor.findings)
     return findings
 
 
-class _ServeExceptVisitor(ast.NodeVisitor):
-    def __init__(self, path: str) -> None:
-        self.path = path
+class _ModuleVisitor(ast.NodeVisitor):
+    """One walk over one module for FB102-FB109 and FB208."""
+
+    def __init__(self, module: ModuleInfo) -> None:
+        self.module = module
         self.findings: List[Finding] = []
         self._function: Optional[str] = None
+        filename = PurePosixPath(module.path.replace("\\", "/")).name
+        # A package __init__ belongs to its own subsystem (repro.engines).
+        dotted = module.name + (".__init__" if filename == "__init__.py" else "")
+        self.subsystem = subsystem_of(dotted)
+        self.in_engine_layer = self.subsystem in _ENGINE_SUBSYSTEMS
+        #: FB102-FB109 scope: every module except tests.
+        self.checked = not (
+            filename.startswith("test_") or self.subsystem == "tests"
+        )
+        self.is_vfs_module = self.subsystem == "storage" and filename == "vfs.py"
+        self.is_clock_module = self.subsystem == "sim" and filename == "clock.py"
+        self.is_device_module = (
+            self.subsystem == "storage" and filename == "device.py"
+        )
+
+    def _flag(self, node: ast.AST, code: str, message: str, symbol: str = "") -> None:
+        self.findings.append(
+            Finding(
+                path=self.module.path,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0) + 1,
+                code=code,
+                message=message,
+                symbol=symbol,
+            )
+        )
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         outer, self._function = self._function, node.name
@@ -682,46 +677,170 @@ class _ServeExceptVisitor(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if not self._handler_is_typed(node):
-            caught = (
-                ast.unparse(node.type) if node.type is not None else "Exception"
-            )
-            self.findings.append(
-                Finding(
-                    path=self.path,
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    code="FB208",
-                    symbol=self._function,
-                    message=(
-                        f"except {caught}: handler neither raises, builds "
-                        "a typed ...Error, nor calls an error funnel "
-                        f"({'/'.join(sorted(_SERVE_ERROR_FUNNELS))}) — a "
-                        "serve-layer failure must surface as a typed error, "
-                        "never be swallowed"
-                    ),
-                )
+    # -- FB102 / FB103 ---------------------------------------------------
+    def visit_Assert(self, node: ast.Assert) -> None:
+        if self.checked:
+            self._flag(
+                node, "FB102",
+                "bare assert is stripped under python -O; raise a ReproError "
+                "subclass instead",
             )
         self.generic_visit(node)
 
-    @staticmethod
-    def _handler_is_typed(node: ast.ExceptHandler) -> bool:
-        for child in ast.walk(ast.Module(body=node.body, type_ignores=[])):
-            if isinstance(child, ast.Raise):
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        methods = {
+            stmt.name
+            for stmt in node.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        if (
+            self.checked
+            and "_pre_partition_scatter" in methods
+            and "_post_partition_scatter" not in methods
+        ):
+            self._flag(
+                node, "FB103",
+                f"class {node.name} overrides _pre_partition_scatter but "
+                "not _post_partition_scatter; per-partition resources "
+                "must be closed by the paired hook",
+            )
+        self.generic_visit(node)
+
+    # -- FB108: time imports ---------------------------------------------
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name == "time":
+                self._flag_time_import(node)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "time":
+            self._flag_time_import(node)
+        self.generic_visit(node)
+
+    def _flag_time_import(self, node: ast.AST) -> None:
+        if self.checked and self.in_engine_layer:
+            self._flag(
+                node, "FB108",
+                f"time-module import in {self.subsystem}/ — engines run on "
+                "the simulated clock (SimClock); wall time has no place here",
+            )
+
+    # -- FB104 / FB106 / FB107 / FB108: calls ----------------------------
+    def visit_Call(self, node: ast.Call) -> None:
+        if self.checked:
+            self._check_call(node)
+        self.generic_visit(node)
+
+    def _check_call(self, node: ast.Call) -> None:
+        func = node.func
+        name = simple_name(func)
+        if name == "VirtualFile" and not self.is_vfs_module:
+            self._flag(
+                node, "FB104",
+                "construct files through VFS.create(), not VirtualFile() "
+                "(bypasses the namespace and leak tracking)",
+            )
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "schedule"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "timeline"
+            and not (self.is_device_module or self.subsystem == "sim")
+        ):
+            self._flag(
+                node, "FB106",
+                "submit requests through Device.submit(), not "
+                "timeline.schedule() (bypasses seek/byte accounting)",
+            )
+        if name == "_RunState" and not self.in_engine_layer:
+            self._flag(
+                node, "FB107",
+                "per-query state is owned by QuerySession; do not construct "
+                "_RunState outside engines/ or core/",
+            )
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "print"
+            and self.in_engine_layer
+        ):
+            self._flag(
+                node, "FB108",
+                f"print() in {self.subsystem}/ — engines report through "
+                "EngineResult, spans and counters (repro.obs), never stdout",
+            )
+
+    # -- FB105 / FB107: assignments --------------------------------------
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_target(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_target(node.target)
+        self.generic_visit(node)
+
+    def _check_target(self, target: ast.expr) -> None:
+        if not (self.checked and isinstance(target, ast.Attribute)):
+            return
+        if target.attr in _CLOCK_PRIVATE_ATTRS and not self.is_clock_module:
+            self._flag(
+                target, "FB105",
+                f"assignment to {target.attr} outside sim/clock.py breaks "
+                "the clock's monotonicity guarantee",
+            )
+        if target.attr == "_rt" and not self.in_engine_layer:
+            self._flag(
+                target, "FB107",
+                "assignment to ._rt outside engines/ or core/ bypasses the "
+                "QuerySession protocol (use engine.session(staged).run())",
+            )
+
+    # -- FB109 / FB208: except handlers ----------------------------------
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        if self.checked and self.in_engine_layer:
+            self._check_broad_except(node)
+        if self.subsystem == "serve" and not _handler_is_typed(node):
+            caught = (
+                ast.unparse(node.type) if node.type is not None else "Exception"
+            )
+            self._flag(
+                node, "FB208",
+                f"except {caught}: handler neither raises, builds "
+                "a typed ...Error, nor calls an error funnel "
+                f"({'/'.join(sorted(_SERVE_ERROR_FUNNELS))}) — a "
+                "serve-layer failure must surface as a typed error, "
+                "never be swallowed",
+                symbol=self._function or "",
+            )
+        self.generic_visit(node)
+
+    def _check_broad_except(self, node: ast.ExceptHandler) -> None:
+        where = f"in {self.subsystem}/ swallows"
+        advice = (
+            "injected faults (CrashError, corruption signals); catch the "
+            "specific ReproError subclass this layer can handle"
+        )
+        if node.type is None:
+            self._flag(node, "FB109", f"bare except {where} {advice}")
+            return
+        items = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        for item in items:
+            exc = simple_name(item)
+            if exc in _BROAD_EXCEPTION_NAMES:
+                self._flag(node, "FB109", f"except {exc} {where} {advice}")
+
+
+def _handler_is_typed(node: ast.ExceptHandler) -> bool:
+    """FB208: the handler re-raises, builds a ``...Error`` or funnels."""
+    for child in ast.walk(ast.Module(body=node.body, type_ignores=[])):
+        if isinstance(child, ast.Raise):
+            return True
+        if isinstance(child, ast.Call):
+            name = simple_name(child.func)
+            if name in _SERVE_ERROR_FUNNELS or name.endswith("Error"):
                 return True
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name is not None and (
-                    name in _SERVE_ERROR_FUNNELS or name.endswith("Error")
-                ):
-                    return True
-        return False
+    return False
 
 
 def _short(chain: List[str]) -> List[str]:

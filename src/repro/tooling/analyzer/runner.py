@@ -1,5 +1,8 @@
 """Analyzer orchestration: sources -> symbols -> call graph -> effects -> rules.
 
+Each file is read and parsed once (:class:`SymbolTable`); the per-module
+rules and the whole-program rules all walk those trees.
+
 Public entry points:
 
 * :func:`analyze_sources` — analyze in-memory ``{path: source}`` (tests);
@@ -19,6 +22,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
@@ -123,8 +127,6 @@ def analyze_paths(
 ) -> AnalysisResult:
     """Analyze ``.py`` files under the given files/directories."""
     sources: Dict[str, str] = {}
-    from pathlib import Path
-
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
@@ -149,8 +151,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tooling.analyzer",
         description=(
-            "whole-program effect & determinism analyzer (rules FB201-FB206; "
-            "see --list-rules)"
+            "repo static checker: per-module rules FB102-FB109 and "
+            "whole-program effect rules FB200-FB208 (see --list-rules)"
         ),
     )
     parser.add_argument(

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.errors import ConfigError
+from pathlib import PurePosixPath
+from typing import Dict, List, Optional, Tuple
 
 #: The package anchor used to turn file paths into dotted module names.
 PACKAGE_NAME = "repro"
@@ -106,23 +104,8 @@ class SymbolTable:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_paths(cls, paths: Iterable[str]) -> "SymbolTable":
-        """Build from files/directories on disk (``.py`` files, sorted)."""
-        sources: Dict[str, str] = {}
-        for raw in paths:
-            p = Path(raw)
-            if p.is_dir():
-                for file in sorted(p.rglob("*.py")):
-                    sources[str(file)] = file.read_text(encoding="utf-8")
-            elif p.suffix == ".py":
-                sources[str(p)] = p.read_text(encoding="utf-8")
-            elif not p.exists():
-                raise ConfigError(f"no such file or directory: {raw}")
-        return cls.from_sources(sources)
-
-    @classmethod
     def from_sources(cls, sources: Dict[str, str]) -> "SymbolTable":
-        """Build from in-memory ``{path: source}`` (tests use this)."""
+        """Build from ``{path: source}``; the analyzer's only parse."""
         table = cls()
         for path in sorted(sources):
             table._add_module(path, sources[path])
@@ -186,7 +169,7 @@ class SymbolTable:
             path=module.path,
             lineno=node.lineno,
             node=node,
-            bases=[_base_name(b) for b in node.bases if _base_name(b)],
+            bases=[simple_name(b) for b in node.bases if simple_name(b)],
         )
         self.classes[qualname] = cls_info
         for stmt in node.body:
@@ -257,7 +240,8 @@ class SymbolTable:
         return [self.functions[q] for q in sorted(self.functions)]
 
 
-def _base_name(expr: ast.expr) -> str:
+def simple_name(expr: ast.expr) -> str:
+    """``Name``/``Attribute`` -> its last identifier ("" for anything else)."""
     if isinstance(expr, ast.Name):
         return expr.id
     if isinstance(expr, ast.Attribute):

@@ -1,15 +1,12 @@
-"""Shared reporting engine for the static-analysis tooling.
+"""Reporting engine for the static checker (:mod:`repro.tooling.analyzer`).
 
-Both the per-file lint pass (:mod:`repro.tooling.lint`, rules FB1xx) and
-the whole-program analyzer (:mod:`repro.tooling.analyzer`, rules FB2xx)
-emit :class:`Finding` records through this module, so suppression
-(``# noqa``), baselines, output formats (text / JSON / SARIF) and exit
-codes behave identically across the two tools::
+Every rule emits :class:`Finding` records through this module, which
+owns suppression (``# noqa``), baselines, output formats (text / JSON /
+SARIF) and exit codes::
 
-    repro lint src/repro --format sarif
     repro analyze src/repro --format sarif --baseline analyzer_baseline.json
 
-Exit-code contract (shared by both CLIs):
+Exit-code contract:
 
 * ``0`` — clean (no unsuppressed, non-baselined findings);
 * ``1`` — findings were reported;
@@ -19,17 +16,18 @@ Exit-code contract (shared by both CLIs):
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 
-#: Exit-code semantics shared by ``repro lint`` and ``repro analyze``.
+#: Exit-code semantics of ``repro analyze``.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
-#: Output formats both CLIs accept.
+#: Output formats the CLI accepts.
 OUTPUT_FORMATS = ("text", "json", "sarif")
 
 #: Schema identifiers pinned by golden-output tests — bump deliberately.
@@ -72,10 +70,17 @@ def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# suppression (``# noqa`` / ``# noqa: FB101[,FB205]``)
+# suppression (``# noqa`` / ``# noqa: FB207[,FB205] - reason``)
 # ----------------------------------------------------------------------
+_NOQA_CODE = re.compile(r"[A-Z]+[0-9]+")
+
+
 def is_suppressed(finding: Finding, source_lines: Sequence[str]) -> bool:
-    """Honour ``# noqa`` / ``# noqa: FB101[,FB102]`` on the flagged line."""
+    """Honour ``# noqa`` / ``# noqa: FB207[,FB102] - reason`` on the line.
+
+    Only the leading comma- or space-separated codes count; the first
+    token that is not a code (``-``, a word) starts the free-text reason.
+    """
     if finding.line > len(source_lines) or finding.line < 1:
         return False
     line = source_lines[finding.line - 1]
@@ -85,7 +90,11 @@ def is_suppressed(finding: Finding, source_lines: Sequence[str]) -> bool:
     tail = line[marker + len("# noqa") :].strip()
     if not tail.startswith(":"):
         return True  # blanket noqa
-    codes = {c.strip() for c in tail[1:].split(",")}
+    codes: Set[str] = set()
+    for token in re.split(r"[,\s]+", tail[1:].strip()):
+        if not _NOQA_CODE.fullmatch(token):
+            break
+        codes.add(token)
     return finding.code in codes
 
 
@@ -144,13 +153,29 @@ class Baseline:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read baseline file {path!r}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(
+                f"baseline file {path!r} must hold a JSON object, "
+                f"not {type(doc).__name__}"
+            )
         if doc.get("schema") != BASELINE_SCHEMA_ID:
             raise ConfigError(
                 f"baseline file {path!r} has schema {doc.get('schema')!r}, "
                 f"expected {BASELINE_SCHEMA_ID!r}"
             )
+        raw_entries = doc.get("entries", [])
+        if not isinstance(raw_entries, list):
+            raise ConfigError(
+                f"baseline file {path!r}: 'entries' must be a list, "
+                f"not {type(raw_entries).__name__}"
+            )
         entries = []
-        for raw in doc.get("entries", []):
+        for raw in raw_entries:
+            if not isinstance(raw, dict):
+                raise ConfigError(
+                    f"baseline file {path!r}: entry {raw!r} must be a JSON "
+                    "object"
+                )
             missing = [k for k in ("code", "path", "symbol", "reason") if k not in raw]
             if missing:
                 raise ConfigError(
@@ -294,7 +319,7 @@ def render(
 
 
 def exit_code(findings: Sequence[Finding]) -> int:
-    """The shared exit-code contract: 0 clean, 1 findings."""
+    """The exit-code contract: 0 clean, 1 findings."""
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 

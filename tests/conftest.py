@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.graph.generators import (
@@ -12,6 +14,19 @@ from repro.graph.generators import (
     rmat_graph,
     star_graph,
 )
+from repro.tooling.analyzer import analyze_paths
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def live_analysis():
+    """One static-checker run over the shipped ``src/repro``, no baseline.
+
+    Shared by every test that only inspects the live tree's findings;
+    tests that drive the CLI or API entry points run their own.
+    """
+    return analyze_paths([str(REPO_ROOT / "src" / "repro")])
 
 
 @pytest.fixture

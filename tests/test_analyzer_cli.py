@@ -1,8 +1,8 @@
-"""CLI and reporting-engine tests shared by ``repro lint``/``repro analyze``.
+"""CLI and reporting-engine tests for ``repro analyze``.
 
-Covers the 0/1/2 exit-code contract, ``--format text|json|sarif`` on both
-tools, golden-file schema stability, byte-determinism of reports, and
-baseline handling end to end.
+Covers the 0/1/2 exit-code contract, ``--format text|json|sarif``,
+golden-file schema stability, byte-determinism of reports, and baseline
+handling end to end (including malformed baseline files).
 """
 
 import json
@@ -14,7 +14,6 @@ from repro.api import analyze_tree
 from repro.cli import main as cli_main
 from repro.tooling.analyzer import analyze_paths
 from repro.tooling.analyzer.runner import main as analyzer_main
-from repro.tooling.lint import LintViolation, main as lint_main
 from repro.tooling.report import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -74,24 +73,24 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
-    def test_lint_shares_the_same_contract(self, isolated_cwd, capsys):
+    def test_single_files_share_the_contract(self, isolated_cwd, capsys):
         clean = isolated_cwd / "clean.py"
         clean.write_text("X = 1\n")
-        assert lint_main([str(clean)]) == EXIT_CLEAN
+        assert analyzer_main([str(clean)]) == EXIT_CLEAN
         bad = isolated_cwd / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import time\nT = time.time()\n")
-        assert lint_main([str(bad)]) == EXIT_FINDINGS
-        assert lint_main(["definitely/not/here"]) == EXIT_USAGE
+        assert analyzer_main([str(bad)]) == EXIT_FINDINGS
+        assert "FB207" in capsys.readouterr().out
+        assert analyzer_main(["definitely/not/here"]) == EXIT_USAGE
 
     def test_repro_cli_subcommands_dispatch(self, isolated_cwd, capsys):
         assert cli_main(["analyze", str(FIXTURES / "fb204")]) == EXIT_FINDINGS
         assert cli_main(["analyze", "--list-rules"]) == 0
-        assert "FB206" in capsys.readouterr().out
-        assert cli_main(["lint", "--list-rules"]) == 0
-        assert "FB101" in capsys.readouterr().out
+        listed = capsys.readouterr().out
+        assert "FB102" in listed and "FB109" in listed and "FB206" in listed
         assert (
-            cli_main(["lint", str(REPO_ROOT / "src" / "repro" / "errors.py")])
+            cli_main(["analyze", str(REPO_ROOT / "src" / "repro" / "errors.py")])
             == EXIT_CLEAN
         )
 
@@ -107,7 +106,8 @@ class TestOutputFormats:
             "path", "line", "col", "code", "symbol", "message",
         }
         assert set(doc["rules"]) == {
-            "FB200", "FB201", "FB202", "FB203", "FB204", "FB205", "FB206",
+            "FB102", "FB103", "FB104", "FB105", "FB106", "FB107", "FB108",
+            "FB109", "FB200", "FB201", "FB202", "FB203", "FB204", "FB205", "FB206",
             "FB207", "FB208",
         }
 
@@ -123,15 +123,16 @@ class TestOutputFormats:
         region = result["locations"][0]["physicalLocation"]["region"]
         assert set(region) == {"startLine", "startColumn"}
 
-    def test_lint_json_format(self, isolated_cwd, capsys):
+    def test_json_reports_per_module_rules(self, isolated_cwd, capsys):
         bad = isolated_cwd / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nT = time.time()\n")
-        lint_main([str(bad), "--format", "json"])
+        bad.write_text("def f(x):\n    assert x\n")
+        assert analyzer_main([str(bad), "--format", "json"]) == EXIT_FINDINGS
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "fastbfs-findings/1"
-        assert doc["tool"] == "repro.tooling.lint"
-        assert doc["findings"][0]["code"] == "FB101"
+        assert doc["tool"] == "repro.tooling.analyzer"
+        assert [(f["code"], f["line"]) for f in doc["findings"]] == [("FB102", 2)]
+        assert "FB102" in doc["rules"]
 
     def test_output_flag_writes_file(self, isolated_cwd):
         out = isolated_cwd / "report.sarif"
@@ -162,10 +163,9 @@ class TestGoldenFiles:
 
 
 class TestDeterminism:
-    def test_two_runs_render_byte_identical_reports(self):
-        paths = [str(REPO_ROOT / "src" / "repro")]
-        first = analyze_paths(paths)
-        second = analyze_paths(paths)
+    def test_two_runs_render_byte_identical_reports(self, live_analysis):
+        first = live_analysis
+        second = analyze_paths([str(REPO_ROOT / "src" / "repro")])
         for fmt_render in (render_json, render_sarif):
             assert fmt_render(
                 first.findings, "repro.tooling.analyzer", {}
@@ -200,6 +200,27 @@ class TestBaselineFlow:
         assert code == EXIT_CLEAN
         assert "stale baseline entries" in captured.err
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[]",
+            '{"schema": "fastbfs-baseline/1", "entries": {}}',
+            '{"schema": "fastbfs-baseline/1", "entries": [1]}',
+        ],
+        ids=["non-object-document", "non-list-entries", "non-object-entry"],
+    )
+    def test_malformed_baseline_is_a_usage_error(
+        self, isolated_cwd, capsys, document
+    ):
+        bad = isolated_cwd / "baseline.json"
+        bad.write_text(document)
+        code = analyzer_main([str(FIXTURES / "fb204"), "--baseline", str(bad)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error: baseline file ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_default_baseline_autoloads_from_cwd(self, isolated_cwd, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         assert analyzer_main([str(REPO_ROOT / "src" / "repro")]) == EXIT_CLEAN
@@ -211,8 +232,3 @@ class TestBaselineFlow:
         )
         assert result.ok
         assert len(result.baselined) == 4
-
-
-class TestSharedFindingType:
-    def test_lint_violation_is_the_shared_finding(self):
-        assert LintViolation is Finding

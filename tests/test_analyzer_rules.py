@@ -1,11 +1,12 @@
-"""Rule-level tests for the whole-program analyzer (FB200-FB208).
+"""Rule-level tests for the whole-program rules (FB200-FB208).
 
 Each FB2xx rule is exercised against a fixture mini-package under
 ``tests/analyzer_fixtures/`` shaped like the real tree, in three
 flavors: positive (flagged), suppressed (``# noqa`` on the finding
 line), and baselined.  The snapshot-completeness rule is additionally
 proven live against the real ``Machine`` class by injecting a fake
-un-checkpointed attribute.
+un-checkpointed attribute.  The per-module rules (FB102-FB109) are
+tested case by case in ``test_tooling_lint.py``.
 """
 
 from pathlib import Path
@@ -182,11 +183,10 @@ class TestFB207WallclockChokePoint:
         # handle) stay clean.
         assert {f.line for f in result.findings} == {10, 14}
 
-    def test_real_hostprof_is_the_only_wallclock_site_in_src(self):
+    def test_real_hostprof_is_the_only_wallclock_site_in_src(self, live_analysis):
         """Acceptance: the shipped tree's wall-clock reads all live in
         repro/obs/hostprof.py — FB207 holds with no baseline entries."""
-        result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
-        assert not any(f.code == "FB207" for f in result.findings)
+        assert not any(f.code == "FB207" for f in live_analysis.findings)
 
 
 class TestFB208ServeTypedErrors:
@@ -228,25 +228,23 @@ class TestFB208ServeTypedErrors:
         assert result.findings == []
         assert result.unused_baseline == []
 
-    def test_live_serve_tree_has_no_untyped_handlers(self):
+    def test_live_serve_tree_has_no_untyped_handlers(self, live_analysis):
         """Acceptance: every except in the shipped ``repro/serve/`` tree
         re-raises, builds a typed error, or funnels — no baseline."""
-        result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
-        assert not any(f.code == "FB208" for f in result.findings)
+        assert not any(f.code == "FB208" for f in live_analysis.findings)
 
 
 class TestMergedTree:
-    def test_src_repro_is_clean_under_committed_baseline(self):
+    def test_src_repro_is_clean_under_committed_baseline(self, live_analysis):
         """Acceptance gate: the shipped tree has zero non-baselined findings."""
         baseline = Baseline.load(str(REPO_ROOT / "analyzer_baseline.json"))
-        result = analyze_paths(
-            [str(REPO_ROOT / "src" / "repro")], baseline=baseline
-        )
-        assert result.findings == [], "\n".join(str(f) for f in result.findings)
-        assert result.unused_baseline == []
+        kept, baselined, unused = baseline.split(live_analysis.findings)
+        assert kept == [], "\n".join(str(f) for f in kept)
+        assert len(baselined) == 4
+        assert unused == []
 
-    def test_the_baselined_cases_are_exactly_the_documented_ones(self):
-        result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
+    def test_the_baselined_cases_are_exactly_the_documented_ones(self, live_analysis):
+        result = live_analysis
         assert {f.symbol for f in result.findings} == {
             "repro.storage.faults.FaultInjector._fires",
             "repro.storage.faults.FaultInjector._counts",
