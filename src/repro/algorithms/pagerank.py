@@ -21,6 +21,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.algorithms.state import VertexState
 from repro.algorithms.streaming import AlgoContext, StreamingAlgorithm, _make_updates
 from repro.errors import EngineError
 from repro.graph.graph import Graph
@@ -38,9 +39,10 @@ class PageRankAlgorithm(StreamingAlgorithm):
 
     name = "pagerank"
     supports_trimming = False
-    state_dtype = np.dtype(
-        [("rank", "<f4"), ("accum", "<f4"), ("active", "u1")]
-    )
+    #: ``np.add.at`` applies updates in stream order, so one call over
+    #: concatenated buffers accumulates exactly as per-buffer calls do.
+    chunked_gather = True
+    state_fields = (("rank", "<f4"), ("accum", "<f4"), ("active", "u1"))
 
     def __init__(self, out_degrees: np.ndarray, damping: float = 0.85) -> None:
         if not 0.0 < damping < 1.0:
@@ -51,13 +53,13 @@ class PageRankAlgorithm(StreamingAlgorithm):
         self.damping = np.float32(damping)
         self.num_vertices = len(self.out_degrees)
 
-    def init_state(self, num_vertices: int, roots=None) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots=None) -> VertexState:
         if num_vertices != self.num_vertices:
             raise EngineError(
                 f"out_degrees were built for {self.num_vertices} vertices, "
                 f"graph has {num_vertices}"
             )
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(num_vertices, self.state_fields)
         state["rank"][:] = np.float32(1.0 / num_vertices)
         state["active"][:] = 1
         return state
@@ -69,7 +71,8 @@ class PageRankAlgorithm(StreamingAlgorithm):
             state["rank"][src_sel] / self.out_degrees[src_global[mask]]
         ).astype(np.float32)
         # Ship the f4 bit pattern inside the u4 payload field.
-        return _make_updates(dst_global[mask], contribution.view(np.uint32)), None
+        updates = _make_updates(dst_global[mask], contribution.view(np.uint32))
+        return updates, mask, None
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         np.add.at(state["accum"], dst_local, payload.view(np.float32))

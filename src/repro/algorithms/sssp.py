@@ -21,6 +21,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.algorithms.state import VertexState
 from repro.algorithms.streaming import StreamingAlgorithm, _make_updates
 from repro.errors import EngineError
 from repro.graph.graph import Graph
@@ -64,14 +65,14 @@ class WeightedSSSPAlgorithm(StreamingAlgorithm):
 
     name = "sssp"
     supports_trimming = False
-    state_dtype = np.dtype([("dist", "<u4"), ("active", "u1")])
+    state_fields = (("dist", "<u4"), ("active", "u1"))
 
     def __init__(self, weight_fn: Optional[WeightFn] = None) -> None:
         self.weight_fn = weight_fn if weight_fn is not None else hash_weights()
 
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> VertexState:
         roots = self._check_roots(num_vertices, roots)
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(num_vertices, self.state_fields)
         state["dist"][:] = UNREACHED
         state["dist"][roots] = 0
         state["active"][roots] = 1
@@ -81,12 +82,12 @@ class WeightedSSSPAlgorithm(StreamingAlgorithm):
         mask = state["active"][src_local] == 1
         src_sel = src_global[mask]
         dst_sel = dst_global[mask]
-        dist = state["dist"][src_local][mask]
+        dist = state["dist"][src_local[mask]]
         new_dist = dist + self.weight_fn(src_sel, dst_sel)
         # Saturate instead of wrapping (paths longer than u4 are unreal
         # here, but property tests feed adversarial graphs).
         new_dist = np.where(new_dist < dist, UNREACHED - 1, new_dist)
-        return _make_updates(dst_sel, new_dist), None
+        return _make_updates(dst_sel, new_dist), mask, None
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         before = state["dist"][dst_local].copy()

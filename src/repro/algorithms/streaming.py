@@ -3,14 +3,23 @@
 The engines (X-Stream, FastBFS) are generic BSP scatter/gather machines; an
 algorithm object supplies the per-edge and per-update semantics:
 
-* ``state`` — one structured-array record per vertex.  The ``active`` field
-  marks vertices updated in the previous gather (the current frontier); the
-  engine clears a partition's flags after scattering it.
-* ``scatter`` — given the active flags and an edge buffer, produce update
-  records and (optionally) the eliminate mask that drives FastBFS trimming.
-* ``gather`` — apply a partition's update stream, activating newly changed
-  vertices; returns how many were activated (global termination = zero
-  updates generated in a scatter pass).
+* ``state`` — a column-store :class:`~repro.algorithms.state.VertexState`,
+  one array per field.  The ``active`` field marks vertices updated in the
+  previous gather (the current frontier); the engine clears a partition's
+  flags after scattering it.
+* ``scatter`` — given the active flags and a run of edges, produce update
+  records, the mask of edges that emitted them, and (optionally) the
+  eliminate mask that drives FastBFS trimming.
+* ``gather`` — apply a run of a partition's update stream, activating newly
+  changed vertices; returns how many were activated (global termination =
+  zero updates generated in a scatter pass).
+
+The engines call both kernels once per *host chunk* — several simulated
+stream buffers at once — and replay the per-buffer simulated work from the
+returned masks (see ``repro.engines.base``).  Scatter only reads the state,
+so any run of edges is valid input.  Gather over a concatenated run must
+equal the per-buffer gathers, returned count included; ``chunked_gather``
+declares that it does.
 
 ``supports_trimming`` is True only when "edge generated an update" implies
 "edge is useless forever" — true for BFS-like monotone visits (paper §II-C1:
@@ -27,9 +36,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.algorithms.state import VertexState
 from repro.errors import EngineError
 from repro.graph.types import NO_PARENT, UNVISITED, UPDATE_DTYPE
-from repro.utils.bits import mask_bit_counts, mask_bytes, popcount64
+# popcount64 is unused here but stays importable from this module: the
+# host-cost benchmark (perfbench/layers.py) patches it under this name.
+from repro.utils.bits import mask_bit_counts, mask_bytes, popcount64, popcounts64  # noqa: F401
 
 #: Width of one MS-BFS batch: one query per bit of a ``uint64`` mask word.
 BATCH_WIDTH = 64
@@ -54,17 +66,25 @@ class StreamingAlgorithm:
     name: str = "abstract"
     #: True when update-generating edges can be eliminated (BFS pattern).
     supports_trimming: bool = False
-    #: In-memory per-vertex record. Must contain an ``active`` u1 field.
-    state_dtype: np.dtype = np.dtype([("active", "u1")])
+    #: True when one gather over concatenated update buffers leaves the
+    #: same state and returns the same count as gathering them one by one
+    #: (first-update-wins claims, order-preserving sums).  False for
+    #: label-correcting kernels, whose per-buffer "improved" counts are not
+    #: additive: the engine then gathers buffer by buffer.
+    chunked_gather: bool = False
+    #: Column schema of the :class:`VertexState` (``(name, dtype)`` or
+    #: ``(name, dtype, shape)`` entries).  Must contain an ``active`` u1
+    #: field.
+    state_fields: Tuple = (("active", "u1"),)
     #: Bytes per vertex as charged for on-disk vertex-set I/O.
     disk_record_bytes: int = 8
     #: On-disk layout of one update record (batched kernels widen this).
     update_dtype: np.dtype = UPDATE_DTYPE
 
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> VertexState:
         raise NotImplementedError
 
-    def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state_validated(self, num_vertices: int, roots) -> VertexState:
         """Build state from roots the engine boundary already validated.
 
         ``engine.run()``/``run_many()`` validate every root entry before
@@ -79,32 +99,38 @@ class StreamingAlgorithm:
     def scatter(
         self,
         ctx: AlgoContext,
-        state: np.ndarray,
+        state: VertexState,
         src_local: np.ndarray,
         src_global: np.ndarray,
         dst_global: np.ndarray,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Return (updates, eliminate_mask or None) for one edge buffer."""
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Return ``(updates, emitted, eliminate)`` for a run of edges.
+
+        ``updates`` holds one record per edge whose ``emitted`` flag is
+        set, in edge order, so the engine can cut it at any buffer
+        boundary; ``eliminate`` is the trimming mask, or None when the
+        algorithm cannot trim.
+        """
         raise NotImplementedError
 
     def gather(
         self,
         ctx: AlgoContext,
-        state: np.ndarray,
+        state: VertexState,
         dst_local: np.ndarray,
         payload: np.ndarray,
     ) -> int:
         """Apply updates to the partition state; return #newly activated."""
         raise NotImplementedError
 
-    def after_gather(self, ctx: AlgoContext, state: np.ndarray) -> None:
+    def after_gather(self, ctx: AlgoContext, state: VertexState) -> None:
         """Called once per partition after its update stream is consumed
         (and before that partition's next scatter).  Iterative numeric
         algorithms (e.g. PageRank) finalize the round's values here; the
         traversal algorithms need nothing."""
 
     def after_partition_scatter(
-        self, ctx: AlgoContext, state: np.ndarray
+        self, ctx: AlgoContext, state: VertexState
     ) -> None:
         """Called right after the engine clears a partition's ``active``
         flags at the end of its scatter.  Batched kernels clear their
@@ -118,18 +144,15 @@ class StreamingAlgorithm:
         """
         return buf["payload"]
 
-    def shuffle_weight(self, updates: np.ndarray) -> int:
-        """Serial-equivalent work units for routing ``updates`` (shuffle).
+    def update_weights(self, updates: np.ndarray) -> Optional[np.ndarray]:
+        """Serial-equivalent work units of each update record, or None
+        when every record is one unit (the serial kernels).
 
-        One per record for serial kernels; the liveness-mask popcount for
-        batched kernels, so per-update shuffle cost scales with how many
-        queries each record serves (see ``repro.engines.costs``).
+        Batched kernels weight a record by its liveness-mask popcount, so
+        per-update shuffle and gather cost scales with how many queries
+        each record serves (see ``repro.engines.costs``).
         """
-        return len(updates)
-
-    def gather_weight(self, buf: np.ndarray) -> int:
-        """Serial-equivalent work units for applying one update buffer."""
-        return len(buf)
+        return None
 
     def batched(self, num_queries: int) -> Optional["StreamingAlgorithm"]:
         """A batched (MS-BFS style) kernel advancing ``num_queries``
@@ -138,12 +161,12 @@ class StreamingAlgorithm:
         back to the serial checkpoint/restore path."""
         return None
 
-    def result(self, state: np.ndarray) -> Dict[str, np.ndarray]:
+    def result(self, state: VertexState) -> Dict[str, np.ndarray]:
         """Extract the user-facing output arrays from the final state."""
         raise NotImplementedError
 
     def extended_eliminate(
-        self, state: np.ndarray, src_local: np.ndarray, base_mask: np.ndarray
+        self, state: VertexState, src_local: np.ndarray, base_mask: np.ndarray
     ) -> np.ndarray:
         """Widen the eliminate mask beyond the paper's generate=>eliminate rule.
 
@@ -188,19 +211,20 @@ class BFSAlgorithm(StreamingAlgorithm):
 
     name = "bfs"
     supports_trimming = True
-    state_dtype = np.dtype([("level", "<i4"), ("parent", "<u4"), ("active", "u1")])
+    chunked_gather = True
+    state_fields = (("level", "<i4"), ("parent", "<u4"), ("active", "u1"))
     #: Key the per-query hop-count array is published under in ``result()``
     #: (also used when demultiplexing a batched run).
     level_output_key = "level"
 
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> VertexState:
         return self.init_state_validated(
             num_vertices, self._check_roots(num_vertices, roots)
         )
 
-    def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state_validated(self, num_vertices: int, roots) -> VertexState:
         roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(num_vertices, self.state_fields)
         state["level"][:] = UNVISITED
         state["parent"][:] = NO_PARENT
         state["level"][roots] = 0
@@ -213,7 +237,7 @@ class BFSAlgorithm(StreamingAlgorithm):
     def scatter(self, ctx, state, src_local, src_global, dst_global):
         mask = state["active"][src_local] == 1
         updates = _make_updates(dst_global[mask], src_global[mask])
-        return updates, mask
+        return updates, mask, mask
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         fresh = state["level"][dst_local] == UNVISITED
@@ -275,18 +299,18 @@ class WCCAlgorithm(StreamingAlgorithm):
 
     name = "wcc"
     supports_trimming = False
-    state_dtype = np.dtype([("label", "<u4"), ("active", "u1")])
+    state_fields = (("label", "<u4"), ("active", "u1"))
 
-    def init_state(self, num_vertices: int, roots=None) -> np.ndarray:
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+    def init_state(self, num_vertices: int, roots=None) -> VertexState:
+        state = VertexState.zeros(num_vertices, self.state_fields)
         state["label"][:] = np.arange(num_vertices, dtype=np.uint32)
         state["active"][:] = 1  # every vertex broadcasts its label once
         return state
 
     def scatter(self, ctx, state, src_local, src_global, dst_global):
         mask = state["active"][src_local] == 1
-        updates = _make_updates(dst_global[mask], state["label"][src_local][mask])
-        return updates, None
+        updates = _make_updates(dst_global[mask], state["label"][src_local[mask]])
+        return updates, mask, None
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         before = state["label"][dst_local].copy()
@@ -322,6 +346,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
 
     name = "batched-bfs"
     supports_trimming = True
+    chunked_gather = True
     #: Per pass the two mask words round-trip through the vertex-set files
     #: (16 bytes); per-query levels/parents are written once at visit time
     #: and live with the result arrays, like the serial kernel's ``active``.
@@ -338,14 +363,12 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         self.num_queries = num_queries
         self.serial = serial if serial is not None else BFSAlgorithm()
         self.level_output_key = self.serial.level_output_key
-        self.state_dtype = np.dtype(
-            [
-                ("frontier", "<u8"),
-                ("visited", "<u8"),
-                ("level", "<i4", (num_queries,)),
-                ("parent", "<u4", (num_queries,)),
-                ("active", "u1"),
-            ]
+        self.state_fields = (
+            ("frontier", "<u8"),
+            ("visited", "<u8"),
+            ("level", "<i4", (num_queries,)),
+            ("parent", "<u4", (num_queries,)),
+            ("active", "u1"),
         )
         self._full_mask = np.uint64((1 << num_queries) - 1 if num_queries < 64
                                     else 0xFFFFFFFFFFFFFFFF)
@@ -363,11 +386,11 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     # ------------------------------------------------------------------
     # state construction
     # ------------------------------------------------------------------
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> VertexState:
         entries = [self._check_roots(num_vertices, r) for r in roots]
         return self.init_state_validated(num_vertices, entries)
 
-    def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state_validated(self, num_vertices: int, roots) -> VertexState:
         """``roots`` is one entry per query slot: a root vertex or a root
         set for a multi-source slot (already validated at the boundary)."""
         slots = [np.atleast_1d(np.asarray(r, dtype=np.int64)) for r in roots]
@@ -377,7 +400,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
                 f"{len(slots)} root entries"
             )
         self.reset()
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(num_vertices, self.state_fields)
         state["level"][:] = UNVISITED
         state["parent"][:] = NO_PARENT
         frontier = state["frontier"]
@@ -424,10 +447,10 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
             eliminate = np.zeros(len(src_local), dtype=bool)
         else:
             eliminate = (state["visited"][src_local] & live) == live
-        return updates, eliminate
+        return updates, sel, eliminate
 
     def gather(self, ctx, state, dst_local, payload) -> int:
-        """Claim every (destination, query) pair of one update buffer in
+        """Claim every (destination, query) pair of a run of updates in
         a single pass.
 
         Only the query bits not yet visited at the destination can claim
@@ -475,11 +498,8 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     def gather_payload(self, buf: np.ndarray) -> np.ndarray:
         return buf
 
-    def shuffle_weight(self, updates: np.ndarray) -> int:
-        return popcount64(updates["mask"])
-
-    def gather_weight(self, buf: np.ndarray) -> int:
-        return popcount64(buf["mask"])
+    def update_weights(self, updates: np.ndarray) -> np.ndarray:
+        return popcounts64(updates["mask"])
 
     def result(self, state):
         return {
@@ -514,7 +534,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
                 last = i
         return last + 2 if last >= 0 else 1
 
-    def query_output(self, state: np.ndarray, q: int) -> Dict[str, np.ndarray]:
+    def query_output(self, state: VertexState, q: int) -> Dict[str, np.ndarray]:
         """Demultiplex slot ``q``'s result arrays (serial key names)."""
         return {
             self.level_output_key: state["level"][:, q].copy(),

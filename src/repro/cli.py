@@ -174,28 +174,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the Table II dataset registry")
 
-    an = sub.add_parser(
+    # Every argument after "analyze" goes to the analyzer's own parser
+    # (see main), so its options are declared in one place.
+    sub.add_parser(
         "analyze",
-        help="repo static checker (rules FB102-FB109, FB200-FB208)",
-    )
-    from repro.tooling.report import OUTPUT_FORMATS
-
-    an.add_argument("paths", nargs="*", default=["src/repro"],
-                    help="files or directories to check (default: src/repro)")
-    an.add_argument("--format", choices=OUTPUT_FORMATS, default="text",
-                    dest="fmt", help="report format (default: text)")
-    an.add_argument("--output", default=None, metavar="FILE",
-                    help="write the report to this file instead of stdout")
-    an.add_argument("--list-rules", action="store_true",
-                    help="print the rule catalogue")
-    an.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of intentionally-accepted findings "
-             "(default: analyzer_baseline.json if present)",
-    )
-    an.add_argument(
-        "--effects", action="store_true",
-        help="print the inferred per-function effect table and exit",
+        add_help=False,
+        help="repo static checker (rules FB102-FB109, FB200-FB208); "
+             "`analyze -h` lists its options",
     )
 
     gantt = sub.add_parser(
@@ -670,17 +655,7 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.tooling.analyzer import main as analyzer_main
 
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv += ["--format", args.fmt]
-    if args.output is not None:
-        argv += ["--output", args.output]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.effects:
-        argv.append("--effects")
-    return analyzer_main(argv)
+    return analyzer_main(args.analyzer_argv, prog="fastbfs analyze")
 
 
 def cmd_gantt(args: argparse.Namespace) -> int:
@@ -822,7 +797,12 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "analyze":
+        args.analyzer_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handlers = {
         "generate": cmd_generate,
         "run": cmd_run,

@@ -6,8 +6,10 @@ X-Stream scaffolding by overriding its partition hooks:
 * ``_edge_input_file`` — the cross-iteration swap: take the stay file
   written during the *previous* iteration as this scatter's input, or
   cancel it if it isn't durable yet (§II-C2);
-* ``_pre/_on/_post_partition_scatter`` — produce the stay-out stream for
-  surviving edges through the dedicated asynchronous writer (§III);
+* ``_pre_partition_scatter``, ``_surviving_edges``, ``_on_scatter_buffer``,
+  ``_post_partition_scatter`` — produce the stay-out stream for surviving
+  edges through the dedicated asynchronous writer (§III): survivors are
+  selected once per host chunk and appended buffer by buffer;
 * ``_should_process_partition`` / ``_should_scatter`` — selective
   scheduling: converged partitions (no updates received) are skipped
   entirely (§II-C3).
@@ -22,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.algorithms.state import VertexState
 from repro.algorithms.streaming import AlgoContext
 from repro.core.config import FastBFSConfig
 from repro.core.policies import TrimPolicy
@@ -147,27 +150,31 @@ class FastBFSEngine(EdgeCentricEngine):
         if self._trimming_active(rt, ctx.iteration):
             rt.stay.open(p, ctx.iteration, device=self._write_disk(rt, ctx.iteration))
 
+    def _surviving_edges(
+        self,
+        rt: _RunState,
+        p: int,
+        state: VertexState,
+        src_local: np.ndarray,
+        eliminate: Optional[np.ndarray],
+    ) -> Optional[np.ndarray]:
+        if eliminate is None or rt.stay.current(p) is None:
+            return None
+        cfg: FastBFSConfig = self.config  # type: ignore[assignment]
+        if cfg.extended_trim:
+            eliminate = rt.algo.extended_eliminate(state, src_local, eliminate)
+        return ~eliminate
+
     def _on_scatter_buffer(
         self,
         rt: _RunState,
         p: int,
-        ctx: AlgoContext,
-        buf: np.ndarray,
-        src_local: np.ndarray,
-        eliminate: Optional[np.ndarray],
+        survivors: np.ndarray,
+        eliminated: int,
         stats: IterationStats,
     ) -> None:
-        writer = rt.stay.current(p)
-        if writer is None or eliminate is None:
-            return
         cfg: FastBFSConfig = self.config  # type: ignore[assignment]
-        lo, hi = rt.partitioning.range_of(p)
-        if cfg.extended_trim:
-            eliminate = rt.algo.extended_eliminate(
-                rt.state[lo:hi], src_local, eliminate
-            )
-        survivors = buf[~eliminate]
-        stats.edges_eliminated += int(eliminate.sum())
+        stats.edges_eliminated += eliminated
         stats.stay_records_written += len(survivors)
         cfg.cost_model.charge(
             rt.machine.clock,

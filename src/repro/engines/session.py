@@ -458,7 +458,7 @@ class QuerySession:
 
         rt = _assemble_run_state(engine, staged, self.algorithm, self.protect_staged)
         self._init_state(rt, **call)
-        if "active" not in rt.state.dtype.names:
+        if "active" not in rt.state:
             raise EngineError("algorithm state must contain an 'active' field")
 
         engine._rt = rt

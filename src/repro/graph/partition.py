@@ -52,8 +52,14 @@ class VertexPartitioning:
 
         Yields ``(p, (vertices_p, *arrays_p))`` for partitions that received
         at least one element, in partition order.  One stable argsort — this
-        is the scatter phase's update shuffle.
+        is the scatter phase's update shuffle.  With a single partition
+        everything routes to it: the inputs are yielded as they are, with
+        no lookup, sort or copy.
         """
+        if self.count == 1:
+            if len(vertices):
+                yield 0, (vertices, *arrays)
+            return
         parts = self.partition_of(vertices)
         order = np.argsort(parts, kind="stable")
         sorted_parts = parts[order]

@@ -83,18 +83,64 @@ class StreamReader:
             self._pending.append((req, self._next_submit, count))
             self._next_submit += count
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return self
-
-    def __next__(self) -> np.ndarray:
+    def _advance(self) -> Optional[Tuple[int, int]]:
+        """Wait for the next buffer's read: its ``(start, count)``, or None."""
         self._fill()
         if not self._pending:
-            raise StopIteration
+            return None
         req, start, count = self._pending.popleft()
         self.clock.wait_until(req.end)
         self._fill()  # keep the pipeline full while we go compute
         self.buffers_read += 1
-        return self.file.read_records(start, count)
+        return start, count
+
+    def host_chunks(
+        self, min_records: int
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, Iterator[int]]]:
+        """The whole stream as host-compute chunks of whole buffers.
+
+        Yields ``(records, cuts, buffers)``: a zero-copy view of as few
+        buffers as hold at least ``min_records`` records (the last chunk
+        may hold fewer); the buffer boundaries inside it as record offsets,
+        from 0 to ``len(records)``; and an iterator over the chunk's buffer
+        indices.  Each step of ``buffers`` first issues and waits for that
+        buffer's read, exactly as iterating the reader would, so charges
+        made inside that loop keep the per-buffer timeline.  Every buffer
+        of a chunk must be taken before the next chunk.
+        """
+        if self._next_submit or self._pending:
+            raise StorageError(f"host_chunks needs a fresh reader on {self.file.name!r}")
+        per_buffer = self.records_per_buffer
+        if self._total == 0:
+            return
+        per_chunk = per_buffer * max(1, -(-min_records // per_buffer))
+        data = self.file.records()
+        for start in range(0, self._total, per_chunk):
+            records = data[start : start + per_chunk]
+            cuts = np.arange(0, len(records) + per_buffer, per_buffer)
+            cuts[-1] = len(records)
+            count = len(cuts) - 1
+            taken = self.buffers_read + count
+            yield records, cuts, self._take_buffers(count)
+            if self.buffers_read != taken:
+                raise StorageError(
+                    f"host chunk of {self.file.name!r} left "
+                    f"{taken - self.buffers_read} buffer(s) unread"
+                )
+
+    def _take_buffers(self, count: int) -> Iterator[int]:
+        for b in range(count):
+            self._advance()
+            yield b
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self
+
+    def __next__(self) -> np.ndarray:
+        span = self._advance()
+        if span is None:
+            raise StopIteration
+        return self.file.read_records(*span)
 
 
 class StreamWriter:

@@ -111,7 +111,7 @@ def analyze_sources(
     baselined: List[Finding] = []
     unused: List[BaselineEntry] = []
     if baseline is not None:
-        findings, baselined, unused = baseline.split(findings)
+        findings, baselined, unused = baseline.split(findings, analyzed=list(sources))
     return AnalysisResult(
         findings=findings,
         baselined=baselined,
@@ -147,9 +147,13 @@ def _resolve_baseline(arg: Optional[str]) -> Optional[Baseline]:
     return None
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(
+    argv: Optional[Sequence[str]] = None,
+    prog: str = "python -m repro.tooling.analyzer",
+) -> int:
+    """The analyzer CLI; ``prog`` names the command in usage messages."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro.tooling.analyzer",
+        prog=prog,
         description=(
             "repo static checker: per-module rules FB102-FB109 and "
             "whole-program effect rules FB200-FB208 (see --list-rules)"
@@ -178,12 +182,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--effects", action="store_true",
-        help="also print the inferred effect table (text format only)",
+        help="print the inferred effect table before the report "
+             "(text format only)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     args = parser.parse_args(argv)
+    if args.effects and args.format != "text":
+        print(
+            "error: --effects prints a text table; it cannot be combined "
+            f"with --format {args.format}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     if args.list_rules:
         for code, summary in sorted(RULES.items()):
             print(f"{code}  {summary}")
@@ -195,7 +207,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = render(result.findings, args.format, TOOL_NAME, RULES)
-    if args.effects and args.format == "text":
+    if args.effects:
         report = format_effect_table(result.effects) + "\n" + report
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:

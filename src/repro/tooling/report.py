@@ -135,7 +135,11 @@ class BaselineEntry:
     def matches(self, finding: Finding) -> bool:
         if self.code != finding.code or self.symbol != finding.symbol:
             return False
-        norm = finding.norm_path
+        return self.covers(finding.norm_path)
+
+    def covers(self, path: str) -> bool:
+        """Whether this entry's path names the source file ``path``."""
+        norm = path.replace("\\", "/")
         entry = self.path.replace("\\", "/")
         return norm == entry or norm.endswith("/" + entry)
 
@@ -198,9 +202,16 @@ class Baseline:
         return Baseline(entries=entries)
 
     def split(
-        self, findings: Sequence[Finding]
+        self,
+        findings: Sequence[Finding],
+        analyzed: Sequence[str],
     ) -> Tuple[List[Finding], List[Finding], List[BaselineEntry]]:
-        """Partition findings into (kept, baselined); also unused entries."""
+        """Partition findings into (kept, baselined); also unused entries.
+
+        ``analyzed`` lists the source files the findings came from: an
+        entry naming none of them is not reported unused, since a run over
+        part of the tree says nothing about it.
+        """
         kept: List[Finding] = []
         baselined: List[Finding] = []
         used = [False] * len(self.entries)
@@ -211,7 +222,11 @@ class Baseline:
                     used[i] = True
                     hit = True
             (baselined if hit else kept).append(finding)
-        unused = [e for i, e in enumerate(self.entries) if not used[i]]
+        unused = [
+            e for i, e in enumerate(self.entries)
+            if not used[i]
+            and any(e.covers(path) for path in analyzed)
+        ]
         return kept, baselined, unused
 
 

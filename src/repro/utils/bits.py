@@ -29,19 +29,23 @@ def mask_bytes(masks: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
 
 
-def popcount64(masks: np.ndarray) -> int:
-    """Total set bits across an array of ``uint64`` liveness masks.
+def popcounts64(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each ``uint64`` liveness mask.
 
     One set bit = one serial-equivalent unit of per-query update work; the
-    batched kernels use this to weight shuffle/gather cost charging (see
-    ``repro.engines.costs``).
+    batched kernels weight shuffle/gather cost charging by these counts
+    (see ``repro.engines.costs``).
     """
+    if _bitwise_count is not None:
+        return _bitwise_count(np.asarray(masks, dtype=np.uint64))
+    return _BYTE_POPCOUNT[mask_bytes(masks)].sum(axis=1, dtype=np.int64)
+
+
+def popcount64(masks: np.ndarray) -> int:
+    """Total set bits across an array of ``uint64`` liveness masks."""
     if len(masks) == 0:
         return 0
-    if _bitwise_count is not None:
-        return int(_bitwise_count(np.asarray(masks, dtype=np.uint64))
-                   .sum(dtype=np.int64))
-    return int(_BYTE_POPCOUNT[mask_bytes(masks)].sum(dtype=np.int64))
+    return int(popcounts64(masks).sum(dtype=np.int64))
 
 
 def mask_bit_counts(masks: np.ndarray, width: int) -> np.ndarray:

@@ -1,16 +1,48 @@
 """Unit tests for the scatter/gather algorithm kernels."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.algorithms.streaming import (
     AlgoContext,
+    BatchedBFSAlgorithm,
     BFSAlgorithm,
     UnitSSSPAlgorithm,
     WCCAlgorithm,
 )
 from repro.errors import EngineError
 from repro.graph.types import NO_PARENT, UNVISITED
+
+
+class TestVertexState:
+    def test_columns_are_contiguous_and_slices_are_views(self):
+        algo = BatchedBFSAlgorithm(3)
+        state = algo.init_state(6, [[0], [1], [2]])
+        assert state["frontier"].flags.c_contiguous
+        assert state["level"].shape == (6, 3)
+        part = state[2:5]
+        part["level"][0, 1] = 7
+        part["active"][:] = 1
+        assert state["level"][2, 1] == 7
+        assert state["active"].tolist() == [1, 1, 1, 1, 1, 0]
+        assert "visited" in state and "missing" not in state
+        assert all(name in state for name, *_ in algo.state_fields)
+
+    def test_freed_without_the_cycle_collector(self):
+        """No reference cycle: a batch's state goes with its last reference,
+        not at the next garbage collection."""
+        gc.disable()
+        try:
+            state = BatchedBFSAlgorithm(64).init_state(10, [[0]] * 64)
+            column = weakref.ref(state["level"])
+            view = state[3:7]
+            del state, view
+            assert column() is None
+        finally:
+            gc.enable()
 
 
 class TestBFSInit:
@@ -44,11 +76,12 @@ class TestBFSScatter:
         src_local = np.array([0, 1, 1, 2])
         src_global = np.array([0, 1, 1, 2], dtype=np.uint32)
         dst_global = np.array([9, 5, 6, 7], dtype=np.uint32)
-        updates, eliminate = algo.scatter(
+        updates, emitted, eliminate = algo.scatter(
             AlgoContext(0), state, src_local, src_global, dst_global
         )
         assert updates["dst"].tolist() == [5, 6]
         assert updates["payload"].tolist() == [1, 1]  # parent = source
+        assert emitted.tolist() == [False, True, True, False]
         assert eliminate.tolist() == [False, True, True, False]
 
     def test_generate_implies_eliminate(self):
@@ -58,10 +91,10 @@ class TestBFSScatter:
         src_local = np.arange(8)
         src_global = src_local.astype(np.uint32)
         dst_global = ((src_local + 1) % 8).astype(np.uint32)
-        updates, eliminate = algo.scatter(
+        updates, emitted, eliminate = algo.scatter(
             AlgoContext(0), state, src_local, src_global, dst_global
         )
-        assert int(eliminate.sum()) == len(updates)
+        assert int(eliminate.sum()) == len(updates) == int(emitted.sum())
 
     def test_extended_eliminate_drops_visited_sources(self):
         algo = BFSAlgorithm()
@@ -137,7 +170,7 @@ class TestWCC:
     def test_scatter_broadcasts_labels(self):
         algo = WCCAlgorithm()
         state = algo.init_state(3)
-        updates, eliminate = algo.scatter(
+        updates, emitted, eliminate = algo.scatter(
             AlgoContext(0),
             state,
             np.array([0, 2]),
@@ -145,6 +178,7 @@ class TestWCC:
             np.array([1, 1], dtype=np.uint32),
         )
         assert eliminate is None
+        assert emitted.tolist() == [True, True]
         assert updates["payload"].tolist() == [0, 2]
 
     def test_gather_takes_min(self):

@@ -19,6 +19,7 @@ from repro.tooling.report import (
     EXIT_FINDINGS,
     EXIT_USAGE,
     Baseline,
+    BaselineEntry,
     Finding,
     render_json,
     render_sarif,
@@ -93,6 +94,39 @@ class TestExitCodes:
             cli_main(["analyze", str(REPO_ROOT / "src" / "repro" / "errors.py")])
             == EXIT_CLEAN
         )
+
+    def test_repro_analyze_effects_prints_the_table(self, isolated_cwd, capsys):
+        target = str(FIXTURES / "fb201")
+        assert cli_main(["analyze", "--effects", target]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "repro.obs.watch.Watcher.record" in out.split("FB201")[0]
+        assert "FB201" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "sarif"])
+    def test_repro_analyze_effects_with_structured_format_is_a_usage_error(
+        self, isolated_cwd, capsys, fmt
+    ):
+        target = str(FIXTURES / "fb201")
+        code = cli_main(["analyze", "--effects", "--format", fmt, target])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: --effects")
+        assert captured.err.count("\n") == 1
+
+    def test_repro_analyze_takes_every_runner_option(self, isolated_cwd, capsys):
+        """`fastbfs analyze` hands its argv to the runner's own parser."""
+        report = isolated_cwd / "report.json"
+        code = cli_main([
+            "analyze", "--format=json", "--output", str(report),
+            str(FIXTURES / "fb204"),
+        ])
+        assert code == EXIT_FINDINGS
+        assert json.loads(report.read_text())["findings"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["analyze", "-h"])
+        assert exc.value.code == 0
+        assert "usage: fastbfs analyze" in capsys.readouterr().out
 
 
 class TestOutputFormats:
@@ -189,6 +223,25 @@ class TestBaselineFlow:
         assert "baselined finding(s) suppressed" in captured.err
 
     def test_stale_entries_warn_on_stderr(self, isolated_cwd, capsys):
+        stale = isolated_cwd / "baseline.json"
+        stale.write_text(json.dumps({
+            "schema": "fastbfs-baseline/1",
+            "entries": [{
+                "code": "FB206",
+                "path": "repro/storage/cachebox.py",
+                "symbol": "repro.storage.cachebox.CacheBox.gone",
+                "reason": "names an attribute the fixture no longer has",
+            }],
+        }))
+        code = analyzer_main(
+            [str(FIXTURES / "fb206"), "--baseline", str(stale)]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_FINDINGS
+        assert "stale baseline entries" in captured.err
+        assert "CacheBox.gone" in captured.err
+
+    def test_entries_for_unanalyzed_files_are_not_stale(self, isolated_cwd, capsys):
         code = analyzer_main(
             [
                 str(FIXTURES / "fb201" / "repro" / "sim"),
@@ -198,7 +251,33 @@ class TestBaselineFlow:
         )
         captured = capsys.readouterr()
         assert code == EXIT_CLEAN
-        assert "stale baseline entries" in captured.err
+        assert "stale" not in captured.err
+
+    def test_partial_run_from_repo_root_has_no_stale_warning(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(REPO_ROOT)
+        code = cli_main(["analyze", "src/repro/errors.py"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CLEAN
+        assert "stale" not in captured.err
+
+    def test_full_tree_still_flags_a_stale_committed_entry(self, live_analysis):
+        baseline = Baseline.load(str(REPO_ROOT / "analyzer_baseline.json"))
+        baseline.entries.append(BaselineEntry(
+            code="FB206",
+            path="repro/storage/machine.py",
+            symbol="repro.storage.machine.Machine.no_such_attribute",
+            reason="stale on purpose",
+        ))
+        analyzed = [str(f) for f in (REPO_ROOT / "src" / "repro").rglob("*.py")]
+        kept, baselined, unused = baseline.split(
+            live_analysis.findings, analyzed=analyzed
+        )
+        assert kept == [] and len(baselined) == 4
+        assert [e.symbol for e in unused] == [
+            "repro.storage.machine.Machine.no_such_attribute"
+        ]
 
     @pytest.mark.parametrize(
         "document",

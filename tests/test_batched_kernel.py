@@ -148,10 +148,12 @@ def test_first_update_wins_per_query():
 def test_gather_of_nothing_fresh_claims_nothing():
     algo = BatchedBFSAlgorithm(2)
     state = _initial_state(algo, 3, 0, [3, 3, 3])
-    before = state.copy()
+    fields = [name for name, *_ in algo.state_fields]
+    before = {field: state[field].copy() for field in fields}
     buf = _buffer([(0, 5, 3), (2, 6, 1)])
     assert algo.gather(AlgoContext(0), state, buf["dst"].astype(np.int64), buf) == 0
     empty = _buffer([])
     assert algo.gather(AlgoContext(0), state, empty["dst"].astype(np.int64), empty) == 0
-    assert np.array_equal(state, before)
+    for field in fields:
+        assert np.array_equal(state[field], before[field]), field
     assert algo._activated_by_pass == {}

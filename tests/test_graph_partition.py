@@ -103,6 +103,36 @@ class TestSplitByPartition:
     def test_empty_input(self):
         part = VertexPartitioning(10, 2)
         assert list(part.split_by_partition(np.array([], dtype=np.int64))) == []
+        single = VertexPartitioning(10, 1)
+        assert list(single.split_by_partition(np.array([], dtype=np.int64))) == []
+
+    def test_single_partition_routes_inputs_uncopied(self):
+        part = VertexPartitioning(50, 1)
+        dst = np.array([7, 3, 49, 0, 3], dtype=np.uint32)
+        records = np.zeros(5, dtype=[("dst", "<u4"), ("payload", "<u4")])
+        [(p, (dst_p, records_p))] = part.split_by_partition(dst, records)
+        assert p == 0
+        assert dst_p is dst and records_p is records
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        count=st.sampled_from([1, 2, 3, 7]),
+        dst=st.lists(st.integers(0, 39), max_size=60),
+    )
+    def test_matches_per_partition_oracle(self, count, dst):
+        """Every partition count, the single-partition fast path included,
+        yields each owner's elements in stream order."""
+        part = VertexPartitioning(40, count)
+        dst = np.array(dst, dtype=np.uint32)
+        tag = np.arange(len(dst))
+        got = [(p, d.tolist(), t.tolist()) for p, (d, t) in part.split_by_partition(dst, tag)]
+        want = []
+        for p in part:
+            lo, hi = part.range_of(p)
+            sel = (dst >= lo) & (dst < hi)
+            if sel.any():
+                want.append((p, dst[sel].tolist(), tag[sel].tolist()))
+        assert got == want
 
 
 class TestPlanPartitionCount:

@@ -105,6 +105,55 @@ class TestStreamReader:
             StreamReader(clock, f, buffer_bytes=100, prefetch=0)
 
 
+class TestHostChunks:
+    def reader(self, setup, n=100, buffer_records=8):
+        clock, device, vfs = setup
+        f = vfs.create("f", device)
+        f.append_records(edges(n))
+        f.seal()
+        return clock, f, StreamReader(clock, f, buffer_bytes=buffer_records * RECORD)
+
+    def test_chunks_hold_whole_buffers(self, setup):
+        _, f, reader = self.reader(setup)
+        chunks = []
+        for records, cuts, buffers in reader.host_chunks(20):
+            assert list(buffers) == list(range(len(cuts) - 1))
+            chunks.append((len(records), cuts.tolist()))
+        assert chunks == [(24, [0, 8, 16, 24])] * 4 + [(4, [0, 4])]
+        assert reader.buffers_read == 13
+
+    def test_buffer_steps_replay_the_per_buffer_timeline(self, setup):
+        """A charge per buffer step lands on the clock exactly as a charge
+        per iterated buffer does."""
+        clock, f, reader = self.reader(setup, n=1000, buffer_records=64)
+        for _, _, buffers in reader.host_chunks(300):
+            for _ in buffers:
+                clock.charge_compute(1e-6)
+        chunked = (clock.now, clock.iowait_time)
+        clock2 = SimClock()
+        f2 = VFS().create("f", Device(DeviceSpec(
+            "d", seek_time=0.0, read_bandwidth=100 * MB, write_bandwidth=100 * MB)))
+        f2.append_records(edges(1000))
+        f2.seal()
+        for _ in StreamReader(clock2, f2, buffer_bytes=64 * RECORD):
+            clock2.charge_compute(1e-6)
+        assert chunked == (clock2.now, clock2.iowait_time)
+
+    def test_unread_buffers_are_an_error(self, setup):
+        _, _, reader = self.reader(setup)
+        chunks = reader.host_chunks(20)
+        _, _, buffers = next(chunks)
+        next(buffers)
+        with pytest.raises(StorageError, match="2 buffer"):
+            next(chunks)
+
+    def test_needs_a_fresh_reader(self, setup):
+        _, _, reader = self.reader(setup)
+        next(reader)
+        with pytest.raises(StorageError, match="fresh reader"):
+            next(reader.host_chunks(20))
+
+
 class TestStreamWriter:
     def test_buffered_appends_flush_on_threshold(self, setup):
         clock, device, vfs = setup

@@ -62,6 +62,8 @@ CASES = {
 def test_popcount_matches_oracle(path, name, view):
     masks = view(CASES[name])
     assert bits.popcount64(masks) == int(_oracle_bits(masks).sum())
+    per_mask = bits.popcounts64(masks)
+    assert per_mask.tolist() == _oracle_bits(masks).sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
